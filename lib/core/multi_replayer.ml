@@ -78,6 +78,11 @@ let feed t ~asid ev =
           cut e;
           e.interrupts <- e.interrupts + 1)
 
+let feed_blocks t ~asid ?off ?insns starts ~len =
+  Replayer.feed_run (entry_for t asid).rep ?off ?insns starts ~len
+
+let feed_event t ~asid kind x = feed t ~asid (Pc_trace.event_of kind x)
+
 let feed_run_buf = 4096
 
 (* Incremental batching front-end: buffers consecutive same-asid block
@@ -134,10 +139,13 @@ let feeder_feed f ~asid ev =
       f.f_for <- None;
       feed f.f_t ~asid ev
 
+(* Whole-file replay takes the decoder's block runs straight into
+   [Replayer.feed_run]: no event values, no staging copy. *)
 let replay_file t path =
-  let f = feeder t in
-  Pc_trace.fold_events path () (fun () ~asid ev -> feeder_feed f ~asid ev);
-  feeder_flush f
+  Pc_trace.iter_segments ~blocks:feed_run_buf (Pc_trace.read_all path)
+    ~run:(fun b ~asid ~off ~len ->
+      feed_blocks t ~asid ~off ~insns:b.Pc_trace.insns b.Pc_trace.starts ~len)
+    ~event:(feed_event t)
 
 let replay_events make path =
   let t = create make in

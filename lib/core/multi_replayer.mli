@@ -47,6 +47,13 @@ val feed : t -> asid:int -> Pc_trace.event -> unit
     (wire directly to {!Pc_trace.fold_events}); a block whose [~asid]
     differs from the current one performs an implicit switch. *)
 
+val feed_blocks :
+  t -> asid:int -> ?off:int -> ?insns:int array -> int array -> len:int -> unit
+(** {!Replayer.feed_run} of [len] consecutive blocks of [asid]. *)
+
+val feed_event : t -> asid:int -> int -> int -> unit
+(** {!feed} of [Pc_trace.event_of kind operand]. *)
+
 type feeder
 (** An incremental batching front-end over one {!t}: buffers consecutive
     same-asid block runs and flushes them through {!Replayer.feed_run}.
@@ -76,8 +83,8 @@ val feeder_flush : feeder -> unit
     pending run, so flushing is always safe. *)
 
 val replay_file : t -> string -> unit
-(** Replay a trace file of any {!Pc_trace.format}, batching consecutive
-    same-asid block runs through {!Replayer.feed_run} (a {!feeder}).
+(** Replay a trace file of any {!Pc_trace.format}, each decoded
+    same-asid block run going through {!Replayer.feed_run}.
     Equivalent to folding {!feed} over {!Pc_trace.fold_events}.
     @raise Pc_trace.Corrupt on bad framing. *)
 

@@ -23,17 +23,18 @@ let magic_v2 = "PCTR2\n"
 
 let magic_v3 = "PCTR3\n"
 
-(* v3 reserves the low tokens for events; dictionary ids start above
-   them. v2 has no events, so only the literal escape 0 is reserved. *)
+(* v3 reserves the low tokens for events — they double as the decoder's
+   event kinds — and dictionary ids start above them. v2 has no events,
+   so only the literal escape 0 is reserved. *)
 let tok_literal = 0
 
-let tok_switch = 1
+let ev_switch = 1
 
-let tok_invalidate = 2
+let ev_invalidate = 2
 
-let tok_interrupt = 3
+let ev_interrupt = 3
 
-let first_dict_id = function V1 | V2 -> 1 | V3 -> tok_interrupt + 1
+let first_dict_id = function V1 | V2 -> 1 | V3 -> ev_interrupt + 1
 
 (* Decoder memory bound: a hostile or degenerate stream registers at
    most this many dictionary pairs; later literals simply stay
@@ -57,12 +58,16 @@ let open_writer ?(format = V2) path =
     closed = false;
   }
 
-let zigzag v = if v >= 0 then v lsl 1 else ((-v) lsl 1) - 1
+(* Zig-zag over the whole 63-bit [int]: the sign moves to bit 0 and the
+   result is an unsigned 63-bit value, so every delta — the wrapped
+   difference of any two starts — encodes and every start roundtrips. *)
+let zigzag v = (v lsl 1) lxor (v asr 62)
 
-let unzigzag v = if v land 1 = 0 then v lsr 1 else -((v + 1) lsr 1)
+let unzigzag u = (u lsr 1) lxor -(u land 1)
 
+(* LEB128 over an unsigned 63-bit value: at most 9 bytes. *)
 let rec write_varint oc v =
-  if v < 0x80 then output_byte oc v
+  if v land lnot 0x7F = 0 then output_byte oc v
   else begin
     output_byte oc (0x80 lor (v land 0x7F));
     write_varint oc (v lsr 7)
@@ -105,7 +110,7 @@ let require_v3 w what =
 let switch_asid w asid =
   require_v3 w "switch_asid";
   if asid < 0 then invalid_arg "Pc_trace.switch_asid: negative asid";
-  write_varint w.oc tok_switch;
+  write_varint w.oc ev_switch;
   write_varint w.oc asid;
   if asid <> w.cur_asid then begin
     Hashtbl.replace w.parked w.cur_asid w.prev;
@@ -116,12 +121,12 @@ let switch_asid w asid =
 let invalidate w asid =
   require_v3 w "invalidate";
   if asid < 0 then invalid_arg "Pc_trace.invalidate: negative asid";
-  write_varint w.oc tok_invalidate;
+  write_varint w.oc ev_invalidate;
   write_varint w.oc asid
 
 let interrupt w =
   require_v3 w "interrupt";
-  write_varint w.oc tok_interrupt
+  write_varint w.oc ev_interrupt
 
 let write_event w = function
   | Block { start; insns } -> write w ~start ~insns
@@ -134,25 +139,6 @@ let close_writer w =
     w.closed <- true;
     close_out w.oc
   end
-
-(* ---- decoding ----
-
-   All formats decode from a whole-file string: one read, then a tight
-   index loop — measurably faster than the per-byte [input_byte] channel
-   loop the v1 decoder used, and it makes truncation checks exact. *)
-
-let read_varint_s s pos =
-  let len = String.length s in
-  let rec go shift acc =
-    if !pos >= len then raise (Corrupt "truncated varint");
-    let b = Char.code (String.unsafe_get s !pos) in
-    incr pos;
-    let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b land 0x80 = 0 then acc
-    else if shift > 56 then raise (Corrupt "varint too long")
-    else go (shift + 7) acc
-  in
-  go 0 0
 
 (* Whole-input slurp. [in_channel_length] only works on seekable files —
    on a pipe, FIFO, socket or tty the underlying lseek fails — so those
@@ -210,342 +196,411 @@ let sniff s =
   | `Found vp -> vp
   | `Short -> raise (Corrupt "truncated header")
 
-let fold_v1 s start_pos init f =
-  let len = String.length s in
-  let pos = ref start_pos in
-  let rec loop acc prev =
-    if !pos >= len then acc
-    else begin
-      let delta = unzigzag (read_varint_s s pos) in
-      let insns = read_varint_s s pos in
-      let start = prev + delta in
-      loop (f acc ~start ~insns) start
-    end
-  in
-  loop init 0
+(* ---- decoding: one resumable core (see the .mli); every reader below
+   is a thin wrapper over it ---- *)
 
-(* Shared v2/v3 dictionary state, rebuilt as tokens stream in. *)
-type dict = {
-  mutable ddelta : int array;
-  mutable dinsns : int array;
-  mutable cap : int;
-  mutable next : int;
-  base : int; (* first dictionary id for this format *)
+type batch = {
+  starts : int array;
+  insns : int array;
+  mutable len : int;
+  events : int array;
+  mutable nevents : int;
 }
 
-let dict_create base =
-  { ddelta = Array.make 256 0; dinsns = Array.make 256 0; cap = 256; next = base; base }
+let batch ~blocks ~events =
+  if blocks < 1 || events < 1 then
+    invalid_arg "Pc_trace.batch: capacities must be >= 1";
+  {
+    starts = Array.make blocks 0;
+    insns = Array.make blocks 0;
+    len = 0;
+    events = Array.make (3 * events) 0;
+    nevents = 0;
+  }
 
-let dict_register d delta insns =
-  if d.next < dict_cap then begin
-    if d.next >= d.cap then begin
-      let ncap = 2 * d.cap in
-      let nd = Array.make ncap 0 and ni = Array.make ncap 0 in
-      Array.blit d.ddelta 0 nd 0 d.cap;
-      Array.blit d.dinsns 0 ni 0 d.cap;
-      d.ddelta <- nd;
-      d.dinsns <- ni;
-      d.cap <- ncap
-    end;
-    d.ddelta.(d.next) <- delta;
-    d.dinsns.(d.next) <- insns;
-    d.next <- d.next + 1
-  end
+let clear b =
+  b.len <- 0;
+  b.nevents <- 0
 
-let fold_v2 s start_pos init f =
-  let len = String.length s in
-  let pos = ref start_pos in
-  let d = dict_create 1 in
-  let rec loop acc prev =
-    if !pos >= len then acc
-    else begin
-      let token = read_varint_s s pos in
-      let delta, insns =
-        if token = tok_literal then begin
-          let delta = unzigzag (read_varint_s s pos) in
-          let insns = read_varint_s s pos in
-          dict_register d delta insns;
-          (delta, insns)
-        end
-        else if token < d.next then (d.ddelta.(token), d.dinsns.(token))
-        else raise (Corrupt "bad dictionary token")
-      in
-      let start = prev + delta in
-      loop (f acc ~start ~insns) start
-    end
-  in
-  loop init 0
-
-(* v3: the v2 dictionary loop plus the event tokens and per-asid delta
-   chains. [f] sees every event with the asid it lands on — for [Switch]
-   that is the asid being switched {e to}. *)
-let fold_v3 s start_pos init f =
-  let len = String.length s in
-  let pos = ref start_pos in
-  let d = dict_create (first_dict_id V3) in
-  let parked = Hashtbl.create 8 in
-  let cur_asid = ref 0 in
-  let prev = ref 0 in
-  let rec loop acc =
-    if !pos >= len then acc
-    else begin
-      let token = read_varint_s s pos in
-      if token = tok_switch then begin
-        let asid = read_varint_s s pos in
-        if asid <> !cur_asid then begin
-          Hashtbl.replace parked !cur_asid !prev;
-          prev :=
-            (match Hashtbl.find_opt parked asid with Some p -> p | None -> 0);
-          cur_asid := asid
-        end;
-        loop (f acc ~asid (Switch { asid }))
-      end
-      else if token = tok_invalidate then begin
-        let asid = read_varint_s s pos in
-        loop (f acc ~asid:!cur_asid (Invalidate { asid }))
-      end
-      else if token = tok_interrupt then loop (f acc ~asid:!cur_asid Interrupt)
-      else begin
-        let delta, insns =
-          if token = tok_literal then begin
-            let delta = unzigzag (read_varint_s s pos) in
-            let insns = read_varint_s s pos in
-            dict_register d delta insns;
-            (delta, insns)
-          end
-          else if token < d.next then (d.ddelta.(token), d.dinsns.(token))
-          else raise (Corrupt "bad dictionary token")
-        in
-        let start = !prev + delta in
-        prev := start;
-        loop (f acc ~asid:!cur_asid (Block { start; insns }))
-      end
-    end
-  in
-  loop init
-
-let fold_events path init f =
-  let s = read_all path in
-  let version, pos0 = sniff s in
-  match version with
-  | 1 ->
-      fold_v1 s pos0 init (fun acc ~start ~insns ->
-          f acc ~asid:0 (Block { start; insns }))
-  | 2 ->
-      fold_v2 s pos0 init (fun acc ~start ~insns ->
-          f acc ~asid:0 (Block { start; insns }))
-  | _ -> fold_v3 s pos0 init f
-
-(* The single-stream view. A v3 file folds iff it is a plain block
-   stream: any Switch/Invalidate/Interrupt means the caller would be
-   silently replaying an interleaved or cut stream against one automaton,
-   so it is rejected rather than mis-decoded. *)
-let fold path init f =
-  let s = read_all path in
-  let version, pos0 = sniff s in
-  match version with
-  | 1 -> fold_v1 s pos0 init f
-  | 2 -> fold_v2 s pos0 init f
-  | _ ->
-      fold_v3 s pos0 init (fun acc ~asid:_ ev ->
-          match ev with
-          | Block { start; insns } -> f acc ~start ~insns
-          | Switch _ | Invalidate _ | Interrupt ->
-              raise
-                (Corrupt
-                   "v3 event stream is not a single PC stream (use \
-                    fold_events)"))
-
-let length path =
-  fold_events path 0 (fun n ~asid:_ ev ->
-      match ev with Block _ -> n + 1 | _ -> n)
-
-(* ---- incremental decoding ----
-
-   The daemon path: trace bytes arrive over a socket in arbitrary chunks
-   (a frame can split a varint, even the magic), so the decoder keeps the
-   undecoded suffix buffered and replays each *complete* record as it
-   materializes. Record parsing is transactional — all of a record's
-   varints are read before any decoder state (dictionary, delta chains,
-   current asid) is committed, so a chunk boundary in the middle of a
-   literal simply parks the bytes until the next feed. The whole-file
-   folds above stay the fast path for seekable files. *)
+(* The longest record: an over-long (9-byte) literal token plus two
+   9-byte varints. A pending tail is always shorter. *)
+let tail_cap = 32
 
 type decoder = {
-  mutable dbuf : Bytes.t; (* buffered input; [dpos..dlen) undecoded *)
-  mutable dlen : int;
-  mutable dpos : int;
-  mutable dversion : int; (* 0 until the magic is sniffed *)
-  mutable ddict : dict;
-  dparked : (int, int) Hashtbl.t;
-  mutable dcur_asid : int;
-  mutable dprev : int;
-  mutable dfinished : bool;
+  mutable version : int; (* 0 until the magic is sniffed *)
+  mutable ddelta : int array; (* dictionary pairs, by token *)
+  mutable dinsns : int array;
+  mutable dnext : int; (* next free token *)
+  mutable prev : int; (* current asid's previous start address *)
+  mutable asid : int;
+  parked : (int, int) Hashtbl.t; (* prev of every non-current asid *)
+  tail : Bytes.t; (* [0..ntail): the magic or record split by a feed *)
+  mutable ntail : int;
+  mutable vend : int; (* end of the last varint read; -1: input ran out *)
+  mutable full : bool; (* the last record loop stopped on a full batch *)
+  mutable finished : bool;
 }
-
-exception Need_more
 
 let decoder () =
   {
-    dbuf = Bytes.create 4096;
-    dlen = 0;
-    dpos = 0;
-    dversion = 0;
-    ddict = dict_create 1;
-    dparked = Hashtbl.create 8;
-    dcur_asid = 0;
-    dprev = 0;
-    dfinished = false;
+    version = 0;
+    ddelta = Array.make 256 0;
+    dinsns = Array.make 256 0;
+    dnext = 0;
+    prev = 0;
+    asid = 0;
+    parked = Hashtbl.create 8;
+    tail = Bytes.create tail_cap;
+    ntail = 0;
+    vend = 0;
+    full = false;
+    finished = false;
   }
 
 let decoder_format d =
-  match d.dversion with
-  | 1 -> Some V1
-  | 2 -> Some V2
-  | 3 -> Some V3
-  | _ -> None
+  match d.version with 1 -> Some V1 | 2 -> Some V2 | 3 -> Some V3 | _ -> None
 
-let decoder_pending d = d.dlen - d.dpos
+let decoder_pending d = d.ntail
 
-(* Append [s.[off..off+len)], compacting the consumed prefix first so the
-   buffer never grows past (pending record + one feed). *)
-let decoder_append d s off len =
-  if d.dpos > 0 then begin
-    Bytes.blit d.dbuf d.dpos d.dbuf 0 (d.dlen - d.dpos);
-    d.dlen <- d.dlen - d.dpos;
-    d.dpos <- 0
-  end;
-  let need = d.dlen + len in
-  if need > Bytes.length d.dbuf then begin
-    let cap = ref (2 * Bytes.length d.dbuf) in
-    while !cap < need do
-      cap := 2 * !cap
-    done;
-    let nb = Bytes.create !cap in
-    Bytes.blit d.dbuf 0 nb 0 d.dlen;
-    d.dbuf <- nb
-  end;
-  Bytes.blit_string s off d.dbuf d.dlen len;
-  d.dlen <- need
+(* A varint of at most 9 bytes — the unsigned 63 bits the writer emits —
+   at [i]. Its end goes to [d.vend], or -1 if the input ends inside it. *)
+let rec varint_at d s i lim shift acc =
+  if i >= lim then begin
+    d.vend <- -1;
+    acc
+  end
+  else
+    let c = Char.code (String.unsafe_get s i) in
+    let acc = acc lor ((c land 0x7F) lsl shift) in
+    if c < 0x80 then begin
+      d.vend <- i + 1;
+      acc
+    end
+    else if shift = 56 then raise (Corrupt "varint too long")
+    else varint_at d s (i + 1) lim (shift + 7) acc
 
-let dread_varint buf len pos =
-  let rec go shift acc =
-    if !pos >= len then raise Need_more;
-    let b = Char.code (Bytes.unsafe_get buf !pos) in
-    incr pos;
-    let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b land 0x80 = 0 then acc
-    else if shift > 56 then raise (Corrupt "varint too long")
-    else go (shift + 7) acc
-  in
-  go 0 0
+let varint d s i lim = varint_at d s i lim 0 0
 
-(* One record, transactionally: parse fully (raising [Need_more] without
-   side effects on a chunk boundary), then commit and emit. Returns false
-   when the buffer holds no complete record. *)
-let decoder_step d emit =
-  if d.dpos >= d.dlen then false
-  else begin
-    let pos = ref d.dpos in
-    let buf = d.dbuf and len = d.dlen in
-    let action =
-      try
-        let v = d.dversion in
-        if v = 1 then begin
-          let delta = unzigzag (dread_varint buf len pos) in
-          let insns = dread_varint buf len pos in
-          Some (`Blk (delta, insns, false))
-        end
-        else begin
-          let token = dread_varint buf len pos in
-          if v = 3 && token = tok_switch then
-            Some (`Sw (dread_varint buf len pos))
-          else if v = 3 && token = tok_invalidate then
-            Some (`Inv (dread_varint buf len pos))
-          else if v = 3 && token = tok_interrupt then Some `Irq
-          else if token = tok_literal then begin
-            let delta = unzigzag (dread_varint buf len pos) in
-            let insns = dread_varint buf len pos in
-            Some (`Blk (delta, insns, true))
-          end
-          else if token < d.ddict.next then
-            Some (`Blk (d.ddict.ddelta.(token), d.ddict.dinsns.(token), false))
-          else raise (Corrupt "bad dictionary token")
-        end
-      with Need_more -> None
-    in
-    match action with
-    | None -> false
-    | Some action ->
-        d.dpos <- !pos;
-        (match action with
-        | `Blk (delta, insns, register) ->
-            if register then dict_register d.ddict delta insns;
-            let start = d.dprev + delta in
-            d.dprev <- start;
-            emit ~asid:d.dcur_asid (Block { start; insns })
-        | `Sw asid ->
-            if asid <> d.dcur_asid then begin
-              Hashtbl.replace d.dparked d.dcur_asid d.dprev;
-              d.dprev <-
-                (match Hashtbl.find_opt d.dparked asid with
-                | Some p -> p
-                | None -> 0);
-              d.dcur_asid <- asid
-            end;
-            emit ~asid (Switch { asid })
-        | `Inv asid -> emit ~asid:d.dcur_asid (Invalidate { asid })
-        | `Irq -> emit ~asid:d.dcur_asid Interrupt);
-        true
+let register d delta insns =
+  if d.dnext < dict_cap then begin
+    if d.dnext = Array.length d.ddelta then begin
+      let grow a = Array.append a (Array.make d.dnext 0) in
+      d.ddelta <- grow d.ddelta;
+      d.dinsns <- grow d.dinsns
+    end;
+    d.ddelta.(d.dnext) <- delta;
+    d.dinsns.(d.dnext) <- insns;
+    d.dnext <- d.dnext + 1
   end
 
-let decoder_feed d ?(off = 0) ?len s emit =
-  if d.dfinished then invalid_arg "Pc_trace.decoder_feed: decoder finished";
+(* The record loop: decode whole records from [s.[p..lim)] into [b]
+   until the input ends, [b] is full ([d.full]) or a record is split by
+   the end of the input ([d.vend] < 0); returns the record boundary it
+   stopped at. A record's varints are all read before anything commits.
+   A v1 record is a v2 literal without the token. *)
+let records d b s p lim =
+  let starts = b.starts and insns = b.insns in
+  let v1 = d.version = 1 and v3 = d.version = 3 in
+  let tok_lo = if v1 then max_int else first_dict_id (if v3 then V3 else V2) in
+  let p = ref p and n = ref b.len and prev = ref d.prev in
+  d.full <- false;
+  d.vend <- 0;
+  while !p < lim && d.vend >= 0 && not d.full do
+    let q = !p in
+    (* the fast path: a dictionary token of one or two bytes *)
+    let c = Char.code (String.unsafe_get s q) in
+    let tok =
+      if c < 0x80 then c
+      else if q + 1 < lim && Char.code (String.unsafe_get s (q + 1)) < 0x80 then
+        (c land 0x7F) lor (Char.code (String.unsafe_get s (q + 1)) lsl 7)
+      else -1
+    in
+    if !n = Array.length starts then d.full <- true
+    else if tok >= tok_lo && tok < d.dnext then begin
+      prev := !prev + Array.unsafe_get d.ddelta tok;
+      Array.unsafe_set starts !n !prev;
+      Array.unsafe_set insns !n (Array.unsafe_get d.dinsns tok);
+      incr n;
+      p := if c < 0x80 then q + 1 else q + 2
+    end
+    else begin
+      (* a block record sets [ins] >= 0 *)
+      let delta = ref 0 and ins = ref (-1) in
+      let tok = if v1 then tok_literal else varint d s q lim in
+      let at = if v1 then q else d.vend in
+      if d.vend < 0 then ()
+      else if tok = tok_literal then begin
+        let z = varint d s at lim in
+        let i = if d.vend < 0 then 0 else varint d s d.vend lim in
+        if d.vend >= 0 then begin
+          if i < 0 then raise (Corrupt "negative instruction count");
+          delta := unzigzag z;
+          ins := i;
+          if not v1 then register d !delta i
+        end
+      end
+      else if v3 && tok > 0 && tok <= ev_interrupt then begin
+        let e = 3 * b.nevents in
+        if e = Array.length b.events then d.full <- true
+        else begin
+          let x = if tok = ev_interrupt then d.asid else varint d s at lim in
+          if d.vend >= 0 then begin
+            if x < 0 then raise (Corrupt "negative asid");
+            if tok = ev_switch && x <> d.asid then begin
+              Hashtbl.replace d.parked d.asid !prev;
+              prev := Option.value ~default:0 (Hashtbl.find_opt d.parked x);
+              d.asid <- x
+            end;
+            b.events.(e) <- !n;
+            b.events.(e + 1) <- tok;
+            b.events.(e + 2) <- x;
+            b.nevents <- b.nevents + 1;
+            p := d.vend
+          end
+        end
+      end
+      else if tok > 0 && tok < d.dnext then begin
+        delta := d.ddelta.(tok);
+        ins := d.dinsns.(tok)
+      end
+      else raise (Corrupt "bad dictionary token");
+      if !ins >= 0 then begin
+        prev := !prev + !delta;
+        starts.(!n) <- !prev;
+        insns.(!n) <- !ins;
+        incr n;
+        p := d.vend
+      end
+    end
+  done;
+  d.prev <- !prev;
+  b.len <- !n;
+  !p
+
+(* Buffer a magic arriving over several feeds; on a complete one, start
+   the stream. Returns the input position after the magic's bytes. *)
+let sniff_header d s p lim =
+  let take = min (lim - p) (String.length magic - d.ntail) in
+  Bytes.blit_string s p d.tail d.ntail take;
+  let have = d.ntail + take in
+  match classify_magic (Bytes.sub_string d.tail 0 have) have with
+  | `Short ->
+      d.ntail <- have;
+      lim
+  | `Found (v, hlen) ->
+      d.version <- v;
+      d.dnext <- first_dict_id (match v with 1 -> V1 | 2 -> V2 | _ -> V3);
+      let p = p + hlen - d.ntail in
+      d.ntail <- 0;
+      p
+
+(* Complete the parked partial record with the head of the new input;
+   returns the input position decoding continues from. *)
+let resume_tail d b s p lim =
+  let old = d.ntail in
+  let take = min (lim - p) (tail_cap - old) in
+  Bytes.blit_string s p d.tail old take;
+  let q = records d b (Bytes.unsafe_to_string d.tail) 0 (old + take) in
+  if q > old then begin
+    d.ntail <- 0;
+    p + q - old
+  end
+  else if d.full then p
+  else begin
+    (* still partial: a record is never longer than [tail_cap] *)
+    assert (take = lim - p);
+    d.ntail <- old + take;
+    lim
+  end
+
+let decoder_fill d b ?(off = 0) ?len s =
+  if d.finished then invalid_arg "Pc_trace.decoder_fill: decoder finished";
   let len = match len with Some l -> l | None -> String.length s - off in
   if off < 0 || len < 0 || off + len > String.length s then
-    invalid_arg "Pc_trace.decoder_feed: bad substring";
-  decoder_append d s off len;
-  if d.dversion = 0 then begin
-    (* longest magic is 7 bytes; classify on what we have *)
-    let hl = min d.dlen 7 in
-    let head = Bytes.sub_string d.dbuf d.dpos hl in
-    match classify_magic head hl with
-    | `Short -> () (* keep buffering the header *)
-    | `Found (v, hlen) ->
-        d.dpos <- d.dpos + hlen;
-        d.dversion <- v;
-        d.ddict <- dict_create (first_dict_id (match v with 1 -> V1 | 2 -> V2 | _ -> V3))
-  end;
-  if d.dversion <> 0 then
-    while decoder_step d emit do
-      ()
-    done
-
-let decoder_finish d =
-  if not d.dfinished then begin
-    if d.dversion = 0 then raise (Corrupt "truncated header");
-    if d.dpos < d.dlen then raise (Corrupt "truncated varint");
-    d.dfinished <- true
-  end
-
-let default_chunk = 4096
-
-let iter_chunks ?(chunk = default_chunk) path f =
-  if chunk <= 0 then invalid_arg "Pc_trace.iter_chunks: chunk must be positive";
-  let starts = Array.make chunk 0 and insns_buf = Array.make chunk 0 in
-  let fill = ref 0 in
-  let flush () =
-    if !fill > 0 then begin
-      f ~starts ~insns:insns_buf ~len:!fill;
-      fill := 0
+    invalid_arg "Pc_trace.decoder_fill: bad substring";
+  let lim = off + len in
+  d.full <- false;
+  let p = if d.version = 0 then sniff_header d s off lim else off in
+  let p = if d.ntail > 0 && p < lim then resume_tail d b s p lim else p in
+  let p =
+    if d.version = 0 || d.ntail > 0 || d.full then p
+    else begin
+      let q = records d b s p lim in
+      if q < lim && not d.full then begin
+        Bytes.blit_string s q d.tail 0 (lim - q);
+        d.ntail <- lim - q;
+        lim
+      end
+      else q
     end
   in
-  fold path () (fun () ~start ~insns ->
-      starts.(!fill) <- start;
-      insns_buf.(!fill) <- insns;
-      incr fill;
-      if !fill = chunk then flush ());
-  flush ()
+  p - off
+
+let decoder_finish d =
+  if not d.finished then begin
+    if d.version = 0 then raise (Corrupt "truncated header");
+    if d.ntail > 0 then raise (Corrupt "truncated varint");
+    d.finished <- true
+  end
+
+(* Feed through [b], walking each filled batch in stream order: [run b]
+   per block run between events, [event] per event. *)
+let feed_segments d b ?(off = 0) ?len s ~run ~event =
+  let len = match len with Some l -> l | None -> String.length s - off in
+  let rec go off len =
+    let asid = ref d.asid and lo = ref 0 in
+    let k = decoder_fill d b ~off ~len s in
+    for e = 0 to b.nevents - 1 do
+      let pos = b.events.(3 * e) and kind = b.events.((3 * e) + 1) in
+      let x = b.events.((3 * e) + 2) in
+      if pos > !lo then run b ~asid:!asid ~off:!lo ~len:(pos - !lo);
+      lo := pos;
+      if kind = ev_switch then asid := x;
+      event ~asid:!asid kind x
+    done;
+    if b.len > !lo then run b ~asid:!asid ~off:!lo ~len:(b.len - !lo);
+    clear b;
+    if k < len then go (off + k) (len - k)
+  in
+  clear b;
+  go off len
+
+let event_of kind x =
+  if kind = ev_switch then Switch { asid = x }
+  else if kind = ev_invalidate then Invalidate { asid = x }
+  else Interrupt
+
+(* Callback-level feeds batch at most this many blocks per step. *)
+let step_blocks = 4096
+
+let decoder_feed d ?(off = 0) ?len s emit =
+  let len = match len with Some l -> l | None -> String.length s - off in
+  (* [len] bytes complete at most [len + 1] records *)
+  let b = batch ~blocks:(min step_blocks (len + 1)) ~events:(min 256 (len + 1)) in
+  feed_segments d b ~off ~len s
+    ~run:(fun b ~asid ~off ~len ->
+      for i = off to off + len - 1 do
+        emit ~asid (Block { start = b.starts.(i); insns = b.insns.(i) })
+      done)
+    ~event:(fun ~asid kind x -> emit ~asid (event_of kind x))
+
+let iter_segments ?(blocks = step_blocks) s ~run ~event =
+  let d = decoder () and b = batch ~blocks ~events:256 in
+  feed_segments d b s ~run ~event;
+  decoder_finish d
+
+let not_single_stream () =
+  raise
+    (Corrupt "v3 event stream is not a single PC stream (use fold_events)")
+
+(* Records fit in the payload: every v2/v3 record is at least 1 byte and
+   every v1 record at least 2, so a whole-file decode presized from the
+   byte count is a single feed that never fills. *)
+let capacity s =
+  let version, hlen = sniff s in
+  let payload = String.length s - hlen in
+  max 1 (if version = 1 then payload / 2 else payload)
+
+let blocks_of_string s =
+  let d = decoder () in
+  let b = batch ~blocks:(capacity s) ~events:1 in
+  ignore (decoder_fill d b s);
+  if b.nevents > 0 then not_single_stream ();
+  decoder_finish d;
+  (b.starts, b.insns, b.len)
+
+type run = { starts : int array; insns : int array; len : int }
+
+(* Per-asid demux in two passes over the same bytes: the first sizes
+   every run, the second decodes straight into exactly-sized run arrays —
+   no growth and no staging copy. Per asid: closed run lengths (newest
+   first), their count and the open run's length so far. *)
+type demux = {
+  mutable lens : int list;
+  mutable nruns : int;
+  mutable fill : int;
+  mutable runs : run array; (* empty in the sizing pass *)
+}
+
+let runs_of_string s =
+  let table = Hashtbl.create 8 in
+  let entry a =
+    match Hashtbl.find_opt table a with
+    | Some e -> e
+    | None ->
+        let e = { lens = []; nruns = 0; fill = 0; runs = [||] } in
+        Hashtbl.add table a e;
+        e
+  in
+  let cut e =
+    if e.fill > 0 then begin
+      e.lens <- e.fill :: e.lens;
+      e.nruns <- e.nruns + 1;
+      e.fill <- 0
+    end
+  in
+  let pass () =
+    iter_segments s
+      ~run:(fun b ~asid ~off ~len ->
+        let e = entry asid in
+        if Array.length e.runs > 0 then begin
+          let r = e.runs.(e.nruns) in
+          Array.blit b.starts off r.starts e.fill len;
+          Array.blit b.insns off r.insns e.fill len
+        end;
+        e.fill <- e.fill + len)
+      (* an interrupt's operand is the asid it cuts, as an invalidation's *)
+      ~event:(fun ~asid:_ kind x -> if kind <> ev_switch then cut (entry x));
+    Hashtbl.iter (fun _ e -> cut e) table
+  in
+  pass ();
+  Hashtbl.iter
+    (fun _ e ->
+      let run len = { starts = Array.make len 0; insns = Array.make len 0; len } in
+      e.runs <- Array.of_list (List.rev_map run e.lens);
+      e.lens <- [];
+      e.nruns <- 0)
+    table;
+  pass ();
+  Hashtbl.fold
+    (fun a e acc -> if e.nruns = 0 then acc else (a, Array.to_list e.runs) :: acc)
+    table []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+let fold_events path init f =
+  let acc = ref init in
+  iter_segments (read_all path)
+    ~run:(fun (b : batch) ~asid ~off ~len ->
+      for i = off to off + len - 1 do
+        acc := f !acc ~asid (Block { start = b.starts.(i); insns = b.insns.(i) })
+      done)
+    ~event:(fun ~asid kind x -> acc := f !acc ~asid (event_of kind x));
+  !acc
+
+(* The single-stream view rejects any event rather than replay an
+   interleaved or cut stream against one automaton. *)
+let fold path init f =
+  let acc = ref init in
+  iter_segments (read_all path)
+    ~run:(fun (b : batch) ~asid:_ ~off ~len ->
+      for i = off to off + len - 1 do
+        acc := f !acc ~start:b.starts.(i) ~insns:b.insns.(i)
+      done)
+    ~event:(fun ~asid:_ _ _ -> not_single_stream ());
+  !acc
+
+let length path =
+  let n = ref 0 in
+  iter_segments (read_all path) ~run:(fun _ ~asid:_ ~off:_ ~len -> n := !n + len)
+    ~event:(fun ~asid:_ _ _ -> ());
+  !n
+
+let iter_chunks ?(chunk = step_blocks) path f =
+  if chunk <= 0 then invalid_arg "Pc_trace.iter_chunks: chunk must be positive";
+  iter_segments ~blocks:chunk (read_all path)
+    ~run:(fun (b : batch) ~asid:_ ~off:_ ~len ->
+      f ~starts:b.starts ~insns:b.insns ~len)
+    ~event:(fun ~asid:_ _ _ -> not_single_stream ())
 
 let replay trans path =
   let rep = Replayer.create trans in

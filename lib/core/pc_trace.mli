@@ -20,8 +20,7 @@
       entries), [k >= 1] repeats dictionary pair [k]. Replay streams
       revisit the same few (delta, insns) pairs in loops, so
       steady-state records compress to ~1 byte — typically 3–4x smaller
-      files than v1 — and all formats decode from a whole-file buffer in
-      one tight index loop rather than per-byte channel reads.
+      files than v1.
     - {b v3} (magic ["PCTR3\n"]): the v2 coding extended to multi-process
       interleaved streams. Low tokens are reserved for events — [1]
       switches the current address-space id ([asid], varint operand),
@@ -82,16 +81,119 @@ val read_all : string -> string
     accepts ["-"] and non-seekable paths like [/dev/stdin] or a FIFO.
     @raise Sys_error on I/O failure. *)
 
+(** {2 The decoder core}
+
+    Every reader below wraps one resumable decoder: a state record (the
+    dictionary, the per-asid parked delta chains, the current asid, the
+    pending tail of a record split by a feed) and one record loop that
+    writes block starts and instruction counts into caller-owned
+    [int array]s and logs events beside them, allocating nothing per
+    record. Varints are LEB128 over an unsigned 63-bit value, at most 9
+    bytes; deltas are zig-zag coded over the whole [int] range, so every
+    [int] start roundtrips. A longer varint, or an instruction count or
+    asid that decodes negative (never written by {!write}), is
+    [Corrupt]. *)
+
+type batch = {
+  starts : int array;
+  insns : int array;
+  mutable len : int;  (** blocks in [starts]/[insns] *)
+  events : int array;
+      (** [nevents] stride-3 records [(position, kind, operand)]:
+          [position] blocks of the batch precede the event; [kind] is
+          {!ev_switch} (operand: the asid switched to), {!ev_invalidate}
+          (the target asid) or {!ev_interrupt} (the asid it cuts) *)
+  mutable nevents : int;
+}
+(** Caller-owned decoder output: the decoder appends, the caller clears. *)
+
+val ev_switch : int
+val ev_invalidate : int
+val ev_interrupt : int
+
+val event_of : int -> int -> event
+(** [event_of kind operand]: the event a batch record stands for. *)
+
+val batch : blocks:int -> events:int -> batch
+(** @raise Invalid_argument unless both capacities are [>= 1]. *)
+
+type decoder
+
+val decoder : unit -> decoder
+(** The format is sniffed from the first bytes fed. *)
+
+val decoder_fill : decoder -> batch -> ?off:int -> ?len:int -> string -> int
+(** Decode [s.[off..off+len)] (default: all of [s]) into the batch and
+    return the bytes consumed: all of them unless the batch filled — then
+    drain it and feed the rest. A record split by the end of the input
+    stays pending in the decoder (transactionally: state commits only on
+    complete records). @raise Corrupt on bad framing; the decoder is then
+    poisoned. @raise Invalid_argument on a bad substring or a finished
+    decoder. *)
+
+val feed_segments :
+  decoder ->
+  batch ->
+  ?off:int ->
+  ?len:int ->
+  string ->
+  run:(batch -> asid:int -> off:int -> len:int -> unit) ->
+  event:(asid:int -> int -> int -> unit) ->
+  unit
+(** Feed all of [s.[off..off+len)] through the batch [b] (cleared first
+    and reused), calling, in stream order, [run b] for each block run
+    [starts.(off..off+len-1)] between events and [event ~asid kind
+    operand] for each event, stamped as in {!fold_events}. *)
+
+val iter_segments :
+  ?blocks:int ->
+  string ->
+  run:(batch -> asid:int -> off:int -> len:int -> unit) ->
+  event:(asid:int -> int -> int -> unit) ->
+  unit
+(** {!feed_segments} of a whole stream through a fresh decoder and a
+    batch of [blocks] (default 4096) blocks, then {!decoder_finish}. *)
+
+val decoder_finish : decoder -> unit
+(** Declare end-of-stream. Idempotent. @raise Corrupt if the stream
+    ended mid-record ("truncated varint") or before a complete magic
+    ("truncated header", the empty stream included). *)
+
+val decoder_format : decoder -> format option
+(** [None] until the magic is complete. *)
+
+val decoder_pending : decoder -> int
+(** Bytes fed but not yet decoded ([0] exactly at a record boundary). *)
+
+val decoder_feed :
+  decoder -> ?off:int -> ?len:int -> string -> (asid:int -> event -> unit) -> unit
+(** The event-at-a-time view of {!decoder_fill}, for socket chunks that
+    may split a varint, a literal or the magic: any chunking of a file
+    emits exactly its {!fold_events} sequence (property-tested). *)
+
+(** {2 Whole streams} *)
+
+val blocks_of_string : string -> int array * int array * int
+(** A single-stream trace's [(starts, insns, len)] in one feed into
+    arrays presized from the byte count (every v2/v3 record is at least
+    1 byte, every v1 record 2), so only [0..len-1] is valid. Same
+    acceptance as {!fold}. @raise Corrupt on bad framing. *)
+
+type run = { starts : int array; insns : int array; len : int }
+(** One uncut single-asid block run; only [0..len-1] is valid. *)
+
+val runs_of_string : string -> (int * run list) list
+(** Demultiplex any trace into per-asid runs, sorted by asid, runs in
+    stream order, cut at every invalidation (of its target) and interrupt
+    (of the current asid). Asids with no blocks are absent; a cut of an
+    asid with no blocks since its last cut is a no-op.
+    @raise Corrupt on bad framing. *)
+
 val fold : string -> 'a -> ('a -> start:int -> insns:int -> 'a) -> 'a
-(** Stream the file through a folder as a {e single} PC stream; v1 and v2
-    files always accepted, and v3 files accepted iff they contain only
-    block records. A v3 stream with switch/invalidate/interrupt events is
-    rejected — folding it as one flat stream would silently replay an
-    interleaved or cut stream against a single automaton — use
-    {!fold_events}.
-    @raise Corrupt on bad framing (including a file too short to hold
-    the magic header, a token referencing a dictionary entry the stream
-    never defined, or an event record under this single-stream view). *)
+(** Stream the file through a folder as a {e single} PC stream: v1, v2,
+    or v3 without events — an interleaved or cut stream must not replay
+    against one automaton; use {!fold_events}.
+    @raise Corrupt on bad framing, any event record included. *)
 
 val fold_events : string -> 'a -> ('a -> asid:int -> event -> 'a) -> 'a
 (** Stream the file through a folder as an event stream. All three
@@ -108,57 +210,9 @@ val iter_chunks :
   (starts:int array -> insns:int array -> len:int -> unit) ->
   unit
 (** Decode the file in blocks of up to [chunk] (default 4096) records into
-    reused parallel arrays; only [starts.(0..len-1)] / [insns.(0..len-1)]
-    are valid per call. This is the batched front half of
-    {!Replayer.feed_run}. Single-stream view: same acceptance rules as
-    {!fold} — a v3 file with events is rejected rather than chunked with
-    its asid boundaries erased (demultiplex with {!fold_events} or
-    [Multi_replayer] first). @raise Corrupt on bad framing. *)
-
-(** {2 Incremental (streaming) decoding}
-
-    The replay-as-a-service ingestion path: trace bytes arrive over a
-    socket in arbitrary chunks — a chunk boundary can split a varint, a
-    dictionary literal, even the magic — so the decoder buffers the
-    undecoded suffix and emits each event exactly when its record
-    completes. Feeding a file's bytes in any chunking emits exactly the
-    {!fold_events} sequence of that file (property-tested). The
-    whole-file folds above remain the fast path for seekable files. *)
-
-type decoder
-
-val decoder : unit -> decoder
-(** A fresh streaming decoder; the format is sniffed from the first
-    bytes fed. *)
-
-val decoder_feed :
-  decoder ->
-  ?off:int ->
-  ?len:int ->
-  string ->
-  (asid:int -> event -> unit) ->
-  unit
-(** [decoder_feed d s emit] consumes [s.[off..off+len)] (default: all of
-    [s]) and calls [emit] once per completed event, with the same asid
-    stamping as {!fold_events}. Partial records are buffered until a
-    later feed completes them; decoder state (dictionary, per-asid delta
-    chains) commits only on complete records.
-    @raise Corrupt on bad framing (foreign magic, undefined dictionary
-    token, over-long varint) — the decoder is then poisoned and must be
-    discarded.
-    @raise Invalid_argument on a bad substring or a finished decoder. *)
-
-val decoder_finish : decoder -> unit
-(** Declare end-of-stream. Idempotent.
-    @raise Corrupt if the stream ended mid-record ("truncated varint") or
-    before a complete magic ("truncated header" — including the empty
-    stream). *)
-
-val decoder_format : decoder -> format option
-(** The sniffed format, [None] until enough header bytes were fed. *)
-
-val decoder_pending : decoder -> int
-(** Buffered bytes not yet decoded ([0] exactly at a record boundary). *)
+    reused parallel arrays, the batched front half of
+    {!Replayer.feed_run}. Same acceptance as {!fold}.
+    @raise Corrupt on bad framing. *)
 
 val replay : Transition.t -> string -> Replayer.t
 (** Replay a TEA against a trace file: the offline half of the

@@ -263,16 +263,17 @@ let load_profile path =
       (try really_input ic magic 0 (Bytes.length magic)
        with End_of_file -> corrupt "truncated header");
       if Bytes.to_string magic <> profile_magic then corrupt "bad magic";
+      (* at most 9 bytes: the 63 bits of an [int] *)
       let get_varint () =
         let v = ref 0 and shift = ref 0 and stop = ref false in
         while not !stop do
           let byte =
             try input_byte ic with End_of_file -> corrupt "truncated varint"
           in
-          if !shift > 56 then corrupt "varint overflow";
           v := !v lor ((byte land 0x7f) lsl !shift);
-          shift := !shift + 7;
           if byte < 0x80 then stop := true
+          else if !shift = 56 then corrupt "varint overflow"
+          else shift := !shift + 7
         done;
         !v
       in

@@ -19,21 +19,17 @@
     returns is always in original automaton ids and epochs never
     compound permutations. *)
 
-type segment = { starts : int array; len : int }
-(** One gap-free run of block start addresses for one asid (only
-    [starts.(0..len-1)] is valid; the array may be over-allocated). *)
-
-val segments_of_raws : string list -> segment list
+val segments_of_raws : string list -> Tea_core.Pc_trace.run list
 (** Decode complete raw trace streams (any {!Tea_core.Pc_trace} format,
     one string per retained session) and demux into per-asid segments,
-    cut at invalidations and interrupts — the same segmentation the
-    replayer's cut semantics induce, so collecting over the segments
-    sees exactly the automaton walks replay performed. Insn counts are
-    dropped: edge profiles count visits, not coverage.
+    cut at invalidations and interrupts ({!Tea_core.Pc_trace.runs_of_string})
+    — the same segmentation the replayer's cut semantics induce, so
+    collecting over the segments sees exactly the automaton walks replay
+    performed.
     @raise Tea_core.Pc_trace.Corrupt on bad framing. *)
 
 val collect_segments :
-  Tea_core.Packed.t -> segment list -> Repack.profile
+  Tea_core.Packed.t -> Tea_core.Pc_trace.run list -> Repack.profile
 (** {!Repack.collect} each segment from NTE over the image and
     {!Repack.merge} the results; the profile is in the image's own id
     space (orig space when the image is flat). *)

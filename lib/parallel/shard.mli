@@ -88,11 +88,9 @@ val replay_arrays :
     @raise Invalid_argument when [len] exceeds either array. *)
 
 val load_pc_trace : string -> int array * int array * int
-(** Decode a {!Tea_core.Pc_trace} file into [(starts, insns, len)]
-    (arrays may be over-allocated; only [0..len-1] is valid). Decoding is
+(** {!Tea_core.Pc_trace.blocks_of_string} of a file. Decoding is
     inherently sequential — the format is delta-coded — so the parallel
-    path decodes once up front instead of streaming.
-    @raise Tea_core.Pc_trace.Corrupt on bad framing. *)
+    path decodes once up front instead of streaming. *)
 
 val replay_pc_trace :
   Pool.t ->
@@ -117,16 +115,15 @@ val replay_pc_trace :
     or a cut by construction; per-run profiles merge additively into
     exactly the per-asid sequential snapshot, at any job count. *)
 
-type run = { starts : int array; insns : int array; len : int }
-(** One contiguous single-asid block run; only [0..len-1] is valid
-    (arrays may be over-allocated). *)
+type run = Tea_core.Pc_trace.run = {
+  starts : int array;
+  insns : int array;
+  len : int;
+}
 
 val load_events : string -> (int * run list) list
-(** Decode any {!Tea_core.Pc_trace} format into per-asid runs, sorted by
-    asid, runs in stream order. Asids with no blocks are absent (matching
-    the lazy-entry rule of {!Tea_core.Multi_replayer}); a cut aimed at an
-    asid with no blocks so far is a no-op.
-    @raise Tea_core.Pc_trace.Corrupt on bad framing. *)
+(** {!Tea_core.Pc_trace.runs_of_string} of a file. Its absent no-block
+    asids match the lazy-entry rule of {!Tea_core.Multi_replayer}. *)
 
 val replay_events :
   Pool.t ->

@@ -23,10 +23,11 @@ type t = {
   mutable len : int;  (* live records *)
 }
 
+(* the non-block tags are the decoder's event kinds *)
 let tag_block = 0
-let tag_switch = 1
-let tag_invalidate = 2
-let tag_interrupt = 3
+let tag_switch = Tea_core.Pc_trace.ev_switch
+let tag_invalidate = Tea_core.Pc_trace.ev_invalidate
+let tag_interrupt = Tea_core.Pc_trace.ev_interrupt
 
 let create () = { buf = Array.make (256 * 4) 0; cap = 256; head = 0; len = 0 }
 let length t = t.len
@@ -43,7 +44,7 @@ let grow t =
   t.cap <- cap';
   t.head <- 0
 
-let push_raw t tag asid a b =
+let push_raw t ~tag ~asid a b =
   if t.len = t.cap then grow t;
   let i = (t.head + t.len) land (t.cap - 1) * 4 in
   t.buf.(i) <- tag;
@@ -54,10 +55,10 @@ let push_raw t tag asid a b =
 
 let push t ~asid (ev : Tea_core.Pc_trace.event) =
   match ev with
-  | Block { start; insns } -> push_raw t tag_block asid start insns
-  | Switch { asid = a } -> push_raw t tag_switch asid a 0
-  | Invalidate { asid = a } -> push_raw t tag_invalidate asid a 0
-  | Interrupt -> push_raw t tag_interrupt asid 0 0
+  | Block { start; insns } -> push_raw t ~tag:tag_block ~asid start insns
+  | Switch { asid = a } -> push_raw t ~tag:tag_switch ~asid a 0
+  | Invalidate { asid = a } -> push_raw t ~tag:tag_invalidate ~asid a 0
+  | Interrupt -> push_raw t ~tag:tag_interrupt ~asid 0 0
 
 let tag t = t.buf.(t.head * 4)
 let asid t = t.buf.((t.head * 4) + 1)

@@ -23,6 +23,9 @@ val is_empty : t -> bool
 val push : t -> asid:int -> Tea_core.Pc_trace.event -> unit
 (** Append one event for [asid]. *)
 
+val push_raw : t -> tag:int -> asid:int -> int -> int -> unit
+(** [push_raw t ~tag ~asid f1 f2]: {!push} without the event value. *)
+
 (** {2 Head-record accessors}
 
     Valid only when [not (is_empty t)]; {!drop} consumes the record.

@@ -138,6 +138,7 @@ let put_varint b v =
   done;
   Buffer.add_char b (Char.chr !v)
 
+(* at most 9 bytes: the 63 bits of an [int] *)
 let get_varint s pos =
   let len = String.length s in
   let rec go shift acc =
@@ -146,7 +147,7 @@ let get_varint s pos =
     incr pos;
     let acc = acc lor ((b land 0x7F) lsl shift) in
     if b land 0x80 = 0 then acc
-    else if shift > 56 then raise (Corrupt "profile varint too long")
+    else if shift = 56 then raise (Corrupt "profile varint too long")
     else go (shift + 7) acc
   in
   go 0 0

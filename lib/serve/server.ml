@@ -88,6 +88,7 @@ type t = {
          recipe the offline differential needs to replay the exact same
          image at the exact same stream positions *)
   mutable closed : bool;
+  ingest : Core.Pc_trace.batch;  (* select-loop decode output, reused *)
 }
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
@@ -187,6 +188,7 @@ let create ?(queue_cap = 16384) ?(offline_check = false) ?(engine = `Packed)
     fleet = P.Profile.empty;
     retained = [];
     closed = false;
+    ingest = Core.Pc_trace.batch ~blocks:4096 ~events:256;
   }
 
 let addr t = t.bound
@@ -290,12 +292,20 @@ let on_frame t s (f : Frame.frame) =
       (match s.raw with
       | Some b -> Buffer.add_string b f.payload
       | None -> ());
-      Core.Pc_trace.decoder_feed s.dec f.payload (fun ~asid ev ->
-          (* [evs] numbers stream positions for the swap schedule; by
-             the time a swap can happen (a drain-cycle boundary) every
-             pushed event has been fed, so the count is exact *)
-          s.evs <- s.evs + 1;
-          Evq.push s.queue ~asid ev)
+      (* [evs] numbers stream positions for the swap schedule; by the
+         time a swap can happen (a drain-cycle boundary) every pushed
+         event has been fed, so the count is exact *)
+      let q = s.queue in
+      Core.Pc_trace.feed_segments s.dec t.ingest f.payload
+        ~run:(fun b ~asid ~off ~len ->
+          for i = off to off + len - 1 do
+            Evq.push_raw q ~tag:Evq.tag_block ~asid b.Core.Pc_trace.starts.(i)
+              b.Core.Pc_trace.insns.(i)
+          done;
+          s.evs <- s.evs + len)
+        ~event:(fun ~asid kind x ->
+          Evq.push_raw q ~tag:kind ~asid x 0;
+          s.evs <- s.evs + 1)
     end
     else if f.Frame.tag = Frame.tag_end then s.ended <- true
     else fail_session s (Printf.sprintf "unexpected frame tag %C" f.Frame.tag)
@@ -394,11 +404,7 @@ let drain_cycle t =
                 end
                 else
                   Core.Multi_replayer.feeder_feed s.fdr ~asid
-                    (if tag = Evq.tag_switch then
-                       Core.Pc_trace.Switch { asid = a }
-                     else if tag = Evq.tag_invalidate then
-                       Core.Pc_trace.Invalidate { asid = a }
-                     else Core.Pc_trace.Interrupt)
+                    (Core.Pc_trace.event_of tag a)
               done;
               Core.Multi_replayer.feeder_flush s.fdr
             with e ->
@@ -713,32 +719,37 @@ let offline_profile t =
     invalid_arg "Server.offline_profile: created without ~offline_check:true";
   List.fold_left
     (fun acc (raw, epoch0, swaps) ->
-      let evs = ref [] in
-      let dec = Core.Pc_trace.decoder () in
-      Core.Pc_trace.decoder_feed dec raw (fun ~asid ev ->
-          evs := (asid, ev) :: !evs);
-      Core.Pc_trace.decoder_finish dec;
-      let events = Array.of_list (List.rev !evs) in
       let m =
         Core.Multi_replayer.create (factory_of t (image_of_epoch t epoch0))
       in
-      let fdr = Core.Multi_replayer.feeder m in
-      let pending = ref swaps in
-      let rec maybe_swap i =
+      (* [i] numbers stream positions (blocks and events) as the live
+         session's [evs] did; a swap at [at] lands before position [at] *)
+      let i = ref 0 and pending = ref swaps in
+      let rec swap_due () =
         match !pending with
-        | (at, ep) :: rest when at <= i ->
-            Core.Multi_replayer.feeder_flush fdr;
+        | (at, ep) :: rest when at <= !i ->
             Core.Multi_replayer.rebind m (factory_of t (image_of_epoch t ep));
             pending := rest;
-            maybe_swap i
+            swap_due ()
         | _ -> ()
       in
-      Array.iteri
-        (fun i (asid, ev) ->
-          maybe_swap i;
-          Core.Multi_replayer.feeder_feed fdr ~asid ev)
-        events;
-      Core.Multi_replayer.feeder_flush fdr;
+      Core.Pc_trace.iter_segments raw
+        ~run:(fun b ~asid ~off ~len ->
+          let rec go off len =
+            swap_due ();
+            let k =
+              match !pending with (at, _) :: _ -> min len (at - !i) | [] -> len
+            in
+            Core.Multi_replayer.feed_blocks m ~asid ~off
+              ~insns:b.Core.Pc_trace.insns b.Core.Pc_trace.starts ~len:k;
+            i := !i + k;
+            if k < len then go (off + k) (len - k)
+          in
+          go off len)
+        ~event:(fun ~asid kind x ->
+          swap_due ();
+          Core.Multi_replayer.feed_event m ~asid kind x;
+          incr i);
       P.Profile.merge acc
         (P.Profile.merge_all (List.map snd (Core.Multi_replayer.snapshots m))))
     P.Profile.empty (List.rev t.retained)

@@ -678,19 +678,26 @@ let test_pc_trace_negative_deltas () =
   check Alcotest.(list (pair int int)) "negative deltas roundtrip" records back
 
 let test_pc_trace_max_address () =
-  (* near the top of the representable range: deltas of ~2^60 stress the
-     varint length limit without tripping the 56-bit-shift guard *)
+  (* the ends of the int range: every start roundtrips in every format,
+     including the deltas between them that wrap around *)
   let path = Filename.temp_file "tea_pc" ".trc" in
-  let hi = 1 lsl 60 in
-  let records = [ (hi, 7); (0x100, 3); (hi - 1, 1) ] in
-  let w = Pc_trace.open_writer path in
-  List.iter (fun (start, insns) -> Pc_trace.write w ~start ~insns) records;
-  Pc_trace.close_writer w;
-  let back =
-    List.rev (Pc_trace.fold path [] (fun acc ~start ~insns -> (start, insns) :: acc))
+  let hi = 1 lsl 60 and h61 = 1 lsl 61 in
+  let records =
+    [ (hi, 7); (0x100, 3); (hi - 1, 1); (h61, 2); (-h61, 4); (max_int, 5);
+      (min_int, 6); (max_int, 0); (0, 1); (min_int, 2); (-1, 3); (h61, 2) ]
   in
-  Sys.remove path;
-  check Alcotest.(list (pair int int)) "max-address roundtrip" records back
+  List.iter
+    (fun format ->
+      let w = Pc_trace.open_writer ~format path in
+      List.iter (fun (start, insns) -> Pc_trace.write w ~start ~insns) records;
+      Pc_trace.close_writer w;
+      let back =
+        List.rev
+          (Pc_trace.fold path [] (fun acc ~start ~insns -> (start, insns) :: acc))
+      in
+      check Alcotest.(list (pair int int)) "max-address roundtrip" records back)
+    [ Pc_trace.V1; Pc_trace.V2; Pc_trace.V3 ];
+  Sys.remove path
 
 let test_pc_trace_empty_stream () =
   (* magic only, zero records: valid, not corrupt *)
@@ -731,7 +738,16 @@ let test_pc_trace_truncated_file () =
       try
         ignore (Pc_trace.length path);
         Alcotest.fail "accepted oversized varint"
-      with Pc_trace.Corrupt _ -> ())
+      with Pc_trace.Corrupt _ -> ());
+  (* a 10-byte varint: its last byte would land at shift 63 *)
+  with_bytes ("PCTR2\n\x00" ^ String.make 9 '\x80' ^ "\x01\x01") (fun path ->
+      Alcotest.check_raises "10-byte varint" (Pc_trace.Corrupt "varint too long")
+        (fun () -> ignore (Pc_trace.length path)));
+  (* a 9-byte varint with bit 62 set decodes negative: never an insns *)
+  with_bytes ("PCTR2\n\x00\x02" ^ String.make 8 '\xff' ^ "\x7f") (fun path ->
+      Alcotest.check_raises "negative insns"
+        (Pc_trace.Corrupt "negative instruction count") (fun () ->
+          ignore (Pc_trace.length path)))
 
 (* ---------------- PCTR2 dictionary format ---------------- *)
 

@@ -285,7 +285,10 @@ let test_teaep_roundtrip () =
   write (String.sub bytes 0 (String.length bytes - 1));
   expect_failure "truncation" (fun () -> Repack.load_profile path);
   write (bytes ^ "\x00");
-  expect_failure "trailing bytes" (fun () -> Repack.load_profile path)
+  expect_failure "trailing bytes" (fun () -> Repack.load_profile path);
+  (* a 10-byte varint would put its last byte at shift 63 *)
+  write ("TEAEP1" ^ String.make 9 '\x80' ^ "\x01\x00");
+  expect_failure "10-byte varint" (fun () -> Repack.load_profile path)
 
 (* ---------------- fixtures (the test_serve shape) ---------------- *)
 

@@ -91,6 +91,12 @@ let test_frame_hostile_length () =
     (Frame.Corrupt "frame payload too large") (fun () ->
       Frame.parser_feed p (Bytes.to_string b) (fun _ -> ()))
 
+let test_frame_varint_cap () =
+  (* a 10-byte varint would put its last byte at shift 63 *)
+  Alcotest.check_raises "10-byte profile varint"
+    (Frame.Corrupt "profile varint too long") (fun () ->
+      ignore (Frame.decode_profile (String.make 9 '\x80' ^ "\x01")))
+
 let test_frame_fd_helpers () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -175,14 +181,130 @@ let decode_chunked chunk s =
   check Alcotest.int "decoder drained" 0 (Pc_trace.decoder_pending d);
   List.rev !got
 
+(* The decoder core fed [chunk] bytes at a time into a batch with room
+   for [cap] blocks and [cap] events, drained whenever a fill returns —
+   so it resumes mid-feed whenever the batch fills. Returns the stamped
+   event list and the bytes left parked. *)
+let core_decode ~chunk ~cap s =
+  let d = Pc_trace.decoder () in
+  let b = Pc_trace.batch ~blocks:cap ~events:cap in
+  let got = ref [] and asid = ref 0 in
+  let drain () =
+    let lo = ref 0 in
+    let blocks upto =
+      for i = !lo to upto - 1 do
+        got :=
+          (!asid, Pc_trace.Block { start = b.starts.(i); insns = b.insns.(i) })
+          :: !got
+      done;
+      lo := upto
+    in
+    for e = 0 to b.nevents - 1 do
+      let kind = b.events.((3 * e) + 1) and x = b.events.((3 * e) + 2) in
+      blocks b.events.(3 * e);
+      let ev =
+        if kind = Pc_trace.ev_switch then begin
+          asid := x;
+          Pc_trace.Switch { asid = x }
+        end
+        else if kind = Pc_trace.ev_invalidate then Pc_trace.Invalidate { asid = x }
+        else begin
+          check Alcotest.int "interrupt operand is the current asid" !asid x;
+          Pc_trace.Interrupt
+        end
+      in
+      got := (!asid, ev) :: !got
+    done;
+    blocks b.len;
+    b.len <- 0;
+    b.nevents <- 0
+  in
+  let n = String.length s in
+  let off = ref 0 in
+  while !off < n do
+    let k = min chunk (n - !off) in
+    let fed = ref 0 in
+    while !fed < k do
+      fed := !fed + Pc_trace.decoder_fill d b ~off:(!off + !fed) ~len:(k - !fed) s;
+      drain ()
+    done;
+    off := !off + k
+  done;
+  (List.rev !got, Pc_trace.decoder_pending d)
+
+let rec is_prefix xs ys =
+  match (xs, ys) with
+  | [], _ -> true
+  | x :: xs, y :: ys -> x = y && is_prefix xs ys
+  | _ :: _, [] -> false
+
+let gen_stream =
+  (* any format; v1/v2 carry blocks only. Starts span the whole int
+     range now and then, so 9-byte varints and wrapping deltas occur. *)
+  let open QCheck.Gen in
+  let start = frequency [ (8, int_range 0 0xFFFFF); (1, int) ] in
+  let block = map2 (fun start insns -> Pc_trace.Block { start; insns }) start (int_range 0 8) in
+  let ev =
+    frequency
+      [ (6, block);
+        (1, map (fun asid -> Pc_trace.Switch { asid }) (int_range 0 3));
+        (1, map (fun asid -> Pc_trace.Invalidate { asid }) (int_range 0 3));
+        (1, return Pc_trace.Interrupt) ]
+  in
+  oneofl [ Pc_trace.V1; Pc_trace.V2; Pc_trace.V3 ] >>= fun format ->
+  list_size (int_range 0 200) (if format = Pc_trace.V3 then ev else block)
+  >|= fun events -> bytes_of_events ~format events
+
 let prop_decoder_equals_fold =
-  (* any chunking of any stream emits exactly the whole-file fold *)
-  QCheck.Test.make ~name:"streaming decode == fold_events (v3)" ~count:60
+  (* any chunking of any stream, at any output capacity, and any prefix
+     of it: the core decodes exactly what one whole feed of the same
+     bytes does and parks the same tail; on the whole stream that is the
+     whole-file fold, and the event-level decoder_feed agrees *)
+  QCheck.Test.make ~name:"streaming decode == fold_events (v1/v2/v3)" ~count:200
     (QCheck.make
-       QCheck.Gen.(pair gen_events (oneofl [ 1; 3; 7; 64; 100_000 ])))
-    (fun (events, chunk) ->
-      let s = bytes_of_events events in
-      decode_chunked chunk s = stamped_of_bytes s)
+       QCheck.Gen.(
+         quad gen_stream
+           (oneof [ int_range 1 16; oneofl [ 64; 100_000 ] ])
+           (oneof [ int_range 1 8; return 4096 ])
+           (float_bound_inclusive 1.0)))
+    (fun (s, chunk, cap, frac) ->
+      let whole = stamped_of_bytes s in
+      let cut = int_of_float (frac *. float_of_int (String.length s)) in
+      let t = String.sub s 0 cut in
+      let got, pending = core_decode ~chunk ~cap t in
+      let one_feed = core_decode ~chunk:(max 1 cut) ~cap:(cut + 1) t in
+      (got, pending) = one_feed
+      && is_prefix got whole
+      && (cut < String.length s || (got = whole && pending = 0))
+      && decode_chunked chunk s = whole)
+
+let test_decode_allocation () =
+  (* a whole-file decode allocates its two output arrays and O(dictionary)
+     words — nothing per record *)
+  let n = 100_000 in
+  let events =
+    List.init n (fun i ->
+        Pc_trace.Block { start = 0x8048000 + (64 * (i * 7 mod 61)); insns = 1 + (i mod 5) })
+  in
+  let s = bytes_of_events ~format:Pc_trace.V2 events in
+  let words () =
+    (* [Gc.minor_words] is exact; the quick_stat fields are as of the
+       last collection *)
+    let st = Gc.quick_stat () in
+    Gc.minor_words () +. st.Gc.major_words -. st.Gc.promoted_words
+  in
+  (* settle the counters: a collection first, so no earlier work (the
+     channels that wrote and read the stream) is charged to the decode *)
+  Gc.full_major ();
+  let w0 = words () in
+  let starts, _, len = Pc_trace.blocks_of_string s in
+  let w = words () -. w0 in
+  check Alcotest.int "blocks" n len;
+  let outputs = 2 * (Array.length starts + 1) in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f words allocated, outputs %d" w outputs)
+    true
+    (w <= float_of_int (outputs + 4096))
 
 let test_decoder_v1_v2 () =
   let records = [ (0x100, 1); (0x90, 4); (0x100, 1); (0x2000, 0) ] in
@@ -476,6 +598,7 @@ let () =
           Alcotest.test_case "round-trip any chunking" `Quick
             test_frame_roundtrip;
           Alcotest.test_case "hostile length" `Quick test_frame_hostile_length;
+          Alcotest.test_case "profile varint cap" `Quick test_frame_varint_cap;
           Alcotest.test_case "fd send/recv" `Quick test_frame_fd_helpers;
           qtest prop_profile_codec;
         ] );
@@ -484,6 +607,8 @@ let () =
           qtest prop_decoder_equals_fold;
           Alcotest.test_case "v1/v2 streams" `Quick test_decoder_v1_v2;
           Alcotest.test_case "errors" `Quick test_decoder_errors;
+          Alcotest.test_case "whole-file decode allocation" `Quick
+            test_decode_allocation;
         ] );
       ( "io",
         [ Alcotest.test_case "read_all through a FIFO" `Quick test_read_all_fifo ] );
