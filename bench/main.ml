@@ -575,7 +575,7 @@ let run_repack_one ~strategy name =
      resolution — so each sample times [reps] back-to-back replays
      (milliseconds). The two layouts are sampled interleaved so machine
      drift hits both equally; best of 5 rounds after one warmup. Two
-     series per layout: the full replay (fused loop plus per-block
+     series per layout: the full replay (batch loop plus per-block
      accounting, the end-to-end number) and the bare transition function
      ({!Tea_core.Packed.step} on the same stream, the dispatch cost the
      pass actually targets — the per-block replay accounting is identical
@@ -742,8 +742,8 @@ let run_repack ~smoke =
    micros plus every workload whose replay stream spends >= 50% of its
    steps inside fused chains (measured with the probe counters on one
    extra fused run). Straight-line or cold-dominated workloads fall back
-   to the verbatim one-step path and are expected near 1.0x; they are
-   reported and floor-checked, not geomean-gated. *)
+   to the batch loop's ordinary dispatch step and are expected near
+   1.0x; they are reported and floor-checked, not geomean-gated. *)
 
 type fuse_row = {
   fu_name : string;

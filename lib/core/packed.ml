@@ -541,10 +541,11 @@ let step t state pc =
     invalid_arg "Packed.step: state id outside the frozen image";
   if t.repacked then step_hot t state pc else step_flat t state pc
 
-(* Read-only view of every array the fused batch loop in
-   {!Replayer.run_packed} needs for the repacked dispatch, bundled so the
-   loop hoists each into a local with one record load. The IC arrays are
-   the live (mutable) ones — the loop fills them in place. *)
+(* Read-only view of every array the packed batch loop
+   ({!Replayer.run_packed}, one loop for every image kind) needs for the
+   repacked dispatch, bundled so the loop hoists each into a local with
+   one record load. The IC arrays are the live (mutable) ones — the loop
+   fills them in place. *)
 type hot_view = {
   v_offsets : int array;
   v_labels : int array;

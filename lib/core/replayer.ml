@@ -63,7 +63,7 @@ let[@inline] account t prev next insns =
 
 (* Telemetry: the replayer-level counters (steps, NTE entries/exits).
    Per-step paths emit them directly; the batch paths flush one delta per
-   batch so the fused loop stays call-free. *)
+   batch so the batch loops stay call-free. *)
 let probe_step prev next =
   match Tea_telemetry.Probe.metrics () with
   | None -> ()
@@ -91,33 +91,260 @@ let feed_addr t ?(insns = 0) addr =
 
 let feed t (b : Block.t) = feed_addr t ~insns:(Block.n_insns b) b.Block.start
 
-(* Fused batch loop for the packed engine: {!Packed.step} plus the
-   per-step accounting, replicated inline so the hot loop makes no calls
-   and touches no heap records — everything accumulates in local cells
-   allocated once per batch and is flushed at the end. The replication is
-   pinned to the step-at-a-time path by the feed_run/feed_addr qcheck
-   equivalence property (state sequence, coverage, stats and cycles). *)
-let run_packed_flat t packed addrs ins ~off ~len =
+(* End-of-batch epilogue shared by the packed and compiled batch loops:
+   one telemetry flush, the replayer's totals, the image's stats, inline
+   cache and cycle counters. [covered]/[total]/[enters]/[exits] are the
+   batch's deltas. In-trace hits are derived ([len - hash hits - hash
+   misses]): every step resolves in-span / on-chain, in the global hash,
+   or not at all. The conditional counters keep each engine's telemetry
+   name set: [packed.fused_steps] only on a fused image, [packed.ic_*]
+   only when the engine keeps an inline cache ([ic]: the packed loop on a
+   repacked image) — a zero count would still register the name. *)
+let flush_batch t img ~len ~ic ~state ~covered ~total ~enters ~exits ~g_hits
+    ~g_miss ~fused_steps ~ic_hits ~ic_misses ~cycles =
+  let in_hits = len - g_hits - g_miss in
+  (match Tea_telemetry.Probe.metrics () with
+  | None -> ()
+  | Some m ->
+      let open Tea_telemetry.Metrics in
+      count m "replayer.steps" len;
+      count m "replayer.trace_enters" enters;
+      count m "replayer.trace_exits" exits;
+      count m "packed.in_trace_hit" in_hits;
+      count m "packed.global_hit" g_hits;
+      count m "packed.global_miss" g_miss;
+      if Packed.is_fused img then count m "packed.fused_steps" fused_steps;
+      if ic then begin
+        count m "packed.ic_hit" ic_hits;
+        count m "packed.ic_miss" ic_misses
+      end);
+  t.state <- state;
+  t.covered <- t.covered + covered;
+  t.total <- t.total + total;
+  t.enters <- t.enters + enters;
+  t.exits <- t.exits + exits;
+  let st = Packed.stats img in
+  st.Transition.steps <- st.Transition.steps + len;
+  st.Transition.in_trace_hits <- st.Transition.in_trace_hits + in_hits;
+  st.Transition.global_hits <- st.Transition.global_hits + g_hits;
+  st.Transition.global_misses <- st.Transition.global_misses + g_miss;
+  if ic then Packed.add_ic img ~hits:ic_hits ~misses:ic_misses;
+  Packed.add_cycles img cycles
+
+(* Validates the batch's entry state and grows the count array once up
+   front: every possible next state (targets, hash values, chain
+   targets, NTE) is < n_slots, so the loops write counts unchecked. *)
+let enter_batch t n_slots =
+  if t.state < 0 || t.state >= n_slots then
+    invalid_arg "Replayer.feed_run: state id outside the frozen image";
+  if Array.length t.counts < n_slots then grow_counts t (n_slots - 1)
+
+(* What a chain match hands back to the batch loop: the cycles and
+   instructions it charged and the state it ended in. *)
+type chain_run = {
+  mutable r_cycles : int;
+  mutable r_insns : int;
+  mutable r_state : int;
+}
+
+(* Matches the PCs from [i] (up to [stop]) against chain [c], entered at
+   state [prev], with one comparison loop — no automaton dispatch — and
+   charges the matched steps in bulk: counts and tier attribution in
+   place, cycles, instructions and the final state into [r]. Returns the
+   number of matched steps, 0 when the first PC already diverges. For a
+   cyclic chain, [full] complete iterations cost O(cycle length)
+   regardless of [full]. It is a call rather than part of the batch
+   loop's body because inline, its locals crowd the dispatch step's
+   registers: unfused replay of listscan, branchy, mcf and gzip ran
+   1.05-1.23x slower that way, fused replay at most 5% faster (2-vCPU
+   Xeon VM, OCaml 5.1 without flambda). *)
+let match_chain (f : Packed.fusion) csums counts tly addrs ins ~i ~stop ~prev
+    c r =
+  let foff = f.Packed.foff in
+  let fsig = f.Packed.fsig in
+  let ftgt = f.Packed.ftgt in
+  let fecost = f.Packed.fecost in
+  let lo = Array.unsafe_get foff c in
+  let hi = Array.unsafe_get foff (c + 1) in
+  let p = Array.unsafe_get f.Packed.fpos prev in
+  let cycles = ref 0 in
+  if Array.unsafe_get f.Packed.fcyc c = 1 then begin
+    (* Cyclic chain: match the incoming PC run against the cycle's
+       signature, wrapping — one compare + one insns add per step. *)
+    let j = ref i and q = ref (lo + p) and isum = ref 0 in
+    while !j < stop && Array.unsafe_get addrs !j = Array.unsafe_get fsig !q do
+      isum := !isum + Array.unsafe_get ins !j;
+      incr j;
+      incr q;
+      if !q = hi then q := lo
+    done;
+    let m = !j - i in
+    if m > 0 then begin
+      let l = hi - lo in
+      (* Short matches (the common exit-every-lap-or-two case) skip the
+         division entirely; only long fast-forwards pay it, where it is
+         amortized over >= 2l steps. *)
+      let full = if m < l then 0 else if m - l < l then 1 else m / l in
+      let rem = m - (full * l) in
+      (* [full] complete iterations: every edge taken [full] times, the
+         cycle cost charged as one multiply — the fast-forward. *)
+      if full > 0 then begin
+        cycles := full * Array.unsafe_get csums c;
+        for e = lo to hi - 1 do
+          let tgt = Array.unsafe_get ftgt e in
+          Array.unsafe_set counts tgt (full + Array.unsafe_get counts tgt)
+        done
+      end;
+      (* [rem] leftover steps from position [p], wrapping once. *)
+      let e = ref (lo + p) in
+      for _ = 1 to rem do
+        cycles := !cycles + Array.unsafe_get fecost !e;
+        let tgt = Array.unsafe_get ftgt !e in
+        Array.unsafe_set counts tgt (1 + Array.unsafe_get counts tgt);
+        incr e;
+        if !e = hi then e := lo
+      done;
+      (* Tier attribution: the source of the edge at ring position [q]
+         is the previous position's target — a fixed property of the
+         cycle, so the charge is independent of how the match splits
+         across batches. *)
+      (match tly with
+      | None -> ()
+      | Some a ->
+          if full > 0 then
+            for e = lo to hi - 1 do
+              let src =
+                Array.unsafe_get ftgt (if e = lo then hi - 1 else e - 1)
+              in
+              Tierstat.bump_n a ~tier:Tierstat.t_fused ~state:src full
+            done;
+          let e = ref (lo + p) in
+          for _ = 1 to rem do
+            let src =
+              Array.unsafe_get ftgt (if !e = lo then hi - 1 else !e - 1)
+            in
+            Tierstat.bump a ~tier:Tierstat.t_fused ~state:src;
+            incr e;
+            if !e = hi then e := lo
+          done);
+      (* the edge that produced the final state sits just before the
+         next expected position [!q] — no second division *)
+      let last = if !q = lo then hi - 1 else !q - 1 in
+      r.r_cycles <- !cycles;
+      r.r_insns <- !isum;
+      r.r_state <- Array.unsafe_get ftgt last
+    end;
+    m
+  end
+  else begin
+    (* Straight chain: match linearly up to the chain's end. *)
+    let j = ref i and q = ref (lo + p) and isum = ref 0 in
+    while
+      !q < hi && !j < stop
+      && Array.unsafe_get addrs !j = Array.unsafe_get fsig !q
+    do
+      isum := !isum + Array.unsafe_get ins !j;
+      incr j;
+      incr q
+    done;
+    let m = !j - i in
+    if m > 0 then begin
+      for e = lo + p to lo + p + m - 1 do
+        cycles := !cycles + Array.unsafe_get fecost e;
+        let tgt = Array.unsafe_get ftgt e in
+        Array.unsafe_set counts tgt (1 + Array.unsafe_get counts tgt)
+      done;
+      (* Entry state [prev] sources the first matched edge; each later
+         edge's source is the previous edge's target. *)
+      (match tly with
+      | None -> ()
+      | Some a ->
+          let src = ref prev in
+          for e = lo + p to lo + p + m - 1 do
+            Tierstat.bump a ~tier:Tierstat.t_fused ~state:!src;
+            src := Array.unsafe_get ftgt e
+          done);
+      r.r_cycles <- !cycles;
+      r.r_insns <- !isum;
+      r.r_state <- Array.unsafe_get ftgt (lo + p + m - 1)
+    end;
+    m
+  end
+
+(* The packed batch loop: {!Packed.step} plus the per-step accounting,
+   replicated inline so a dispatch step makes no calls and touches no
+   heap records — everything accumulates in local cells and is flushed
+   once per batch. It is the executable spec of the packed cost model; the
+   replication is pinned to the step-at-a-time path by the
+   feed_run/feed_addr qcheck properties (state sequence, coverage, stats
+   and cycles) on flat, repacked and fused images.
+
+   One step resolves the current state's span — on a repacked image the
+   inline cache, then the most-taken-first prefix, then binary search
+   over the sorted tail, charging the precomputed edge_cost/miss_cost (an
+   IC hit charges exactly what the scan charged when the entry was
+   filled, so simulated cycles stay a pure function of the stream, which
+   keeps sharded replay bit-identical); on a flat image binary search,
+   one cost per probe — and on a span miss probes the trace-head hash.
+
+   On an image carrying a {!Packed.fusion} overlay, a state on a fused
+   chain first tries {!match_chain}; an image without one never does.
+   {!Packed.with_fusion} validates that each chain edge restates a 1-edge
+   span with the exact cost the dispatch charges and that every chain
+   target is in-trace; a mismatching PC falls through to the ordinary
+   step. Only the inline-cache hit/miss {e split} can differ (chain steps
+   consult no IC) — the same documented exception as the parallel
+   driver's chunk-local IC; it is excluded from {!snapshot}. *)
+let run_packed t packed addrs ins ~off ~len =
   let raw = Packed.to_raw packed in
   let offsets = raw.Packed.offsets in
   let labels = raw.Packed.labels in
   let targets = raw.Packed.targets in
   let keys = raw.Packed.hash_keys in
   let vals = raw.Packed.hash_vals in
+  let hot_len = raw.Packed.hot_len in
+  let repacked = Packed.is_repacked packed in
+  (* Repacked-only live arrays; empty — and never read — on a flat image. *)
+  let edge_cost, miss_cost, ic_label, ic_target, ic_cost =
+    if repacked then
+      let v = Packed.hot_view packed in
+      ( v.Packed.v_edge_cost,
+        v.Packed.v_miss_cost,
+        v.Packed.v_ic_label,
+        v.Packed.v_ic_target,
+        v.Packed.v_ic_cost )
+    else ([||], [||], [||], [||], [||])
+  in
+  (* Chain tables; empty — and never read — without an overlay. The
+     per-chain cost sums are hoisted once per batch: a full cycle
+     iteration charges a constant, so the fast-forward multiplies
+     instead of re-summing fecost on every chain entry. *)
+  let fusion = Packed.fusion_of packed in
+  let fchain, csums =
+    match fusion with
+    | None -> ([||], [||])
+    | Some f ->
+        let foff = f.Packed.foff in
+        let csums = Array.make (Array.length foff - 1) 0 in
+        for c = 0 to Array.length csums - 1 do
+          for e = foff.(c) to foff.(c + 1) - 1 do
+            csums.(c) <- csums.(c) + f.Packed.fecost.(e)
+          done
+        done;
+        (f.Packed.fchain, csums)
+  in
   let mask = Array.length keys - 1 in
-  let n_slots = Array.length offsets - 1 in
-  if t.state < 0 || t.state >= n_slots then
-    invalid_arg "Replayer.feed_run: state id outside the frozen image";
-  (* every possible next state (targets, hash values, NTE) is < n_slots,
-     so growing the count array once up front removes the per-step check *)
-  if Array.length t.counts < n_slots then grow_counts t (n_slots - 1);
+  enter_batch t (Array.length offsets - 1);
   let counts = t.counts in
   let nte = Automaton.nte in
   let state = ref t.state in
-  let covered = ref t.covered and total = ref t.total in
-  let enters = ref t.enters and exits = ref t.exits in
-  let in_hits = ref 0 and g_hits = ref 0 and g_miss = ref 0 in
+  let covered = ref 0 and total = ref 0 in
+  let enters = ref 0 and exits = ref 0 in
+  let g_hits = ref 0 and g_miss = ref 0 in
+  let ic_h = ref 0 and ic_m = ref 0 in
+  let fused_steps = ref 0 in
   let cycles = ref 0 in
+  let run = { r_cycles = 0; r_insns = 0; r_state = 0 } in
   (* Hoisted telemetry handle: [None] (one atomic load per batch) on the
      disabled path; when enabled, hash-probe lengths are recovered from
      the cycle deltas the loop already accumulates, so the loop body
@@ -131,565 +358,82 @@ let run_packed_flat t packed addrs ins ~off ~len =
      disabled path adds one predictable branch per resolution on an
      immutable local — same budget class as [hprobe]. *)
   let tly = Tierstat.tally () in
-  for i = off to off + len - 1 do
-    let pc = Array.unsafe_get addrs i in
-    let prev = !state in
-    let lo = Array.unsafe_get offsets prev in
-    let hi = Array.unsafe_get offsets (prev + 1) in
-    (* in-trace: branchless lower bound over the state's sorted span *)
-    let hit =
-      if hi > lo then begin
-        let base = ref lo and l = ref (hi - lo) in
-        while !l > 1 do
-          let half = !l lsr 1 in
-          if Array.unsafe_get labels (!base + half) <= pc then
-            base := !base + half;
-          l := !l - half;
-          cycles := !cycles + Packed.cost_search_step
-        done;
-        cycles := !cycles + Packed.cost_search_step;
-        if Array.unsafe_get labels !base = pc then
-          Array.unsafe_get targets !base
-        else -1
-      end
-      else -1
-    in
-    let next =
-      if hit >= 0 then begin
-        incr in_hits;
-        (match tly with
-        | None -> ()
-        | Some a -> Tierstat.bump a ~tier:Tierstat.t_search ~state:prev);
-        hit
-      end
-      else begin
-        (* cross-trace / cold: probe the trace-head hash *)
-        cycles := !cycles + Packed.cost_hash_base;
-        let c0 = !cycles in
-        let idx = ref (Packed.hash_pc mask pc) in
-        let found = ref (-2) in
-        while !found = -2 do
-          cycles := !cycles + Packed.cost_hash_probe;
-          let k = Array.unsafe_get keys !idx in
-          if k = pc then found := Array.unsafe_get vals !idx
-          else if k < 0 then found := -1
-          else idx := (!idx + 1) land mask
-        done;
-        (match hprobe with
-        | None -> ()
-        | Some h ->
-            (* cost_hash_probe = 1 cycle per slot examined *)
-            Tea_telemetry.Metrics.observe h
-              ((!cycles - c0) / Packed.cost_hash_probe));
-        (match tly with
-        | None -> ()
-        | Some a ->
-            let tier =
-              if !found >= 0 then Tierstat.t_hash else Tierstat.t_miss
-            in
-            Tierstat.bump a ~tier ~state:prev);
-        if !found >= 0 then begin
-          incr g_hits;
-          !found
-        end
-        else begin
-          incr g_miss;
-          cycles := !cycles + Transition.cost_nte_miss;
-          nte
-        end
-      end
-    in
-    let insns = Array.unsafe_get ins i in
-    state := next;
-    total := !total + insns;
-    if next <> nte then begin
-      covered := !covered + insns;
-      Array.unsafe_set counts next (1 + Array.unsafe_get counts next)
-    end;
-    if prev = nte && next <> nte then incr enters;
-    if prev <> nte && next = nte then incr exits
-  done;
-  (match Tea_telemetry.Probe.metrics () with
-  | None -> ()
-  | Some m ->
-      let open Tea_telemetry.Metrics in
-      count m "replayer.steps" len;
-      count m "replayer.trace_enters" (!enters - t.enters);
-      count m "replayer.trace_exits" (!exits - t.exits);
-      count m "packed.in_trace_hit" !in_hits;
-      count m "packed.global_hit" !g_hits;
-      count m "packed.global_miss" !g_miss);
-  t.state <- !state;
-  t.covered <- !covered;
-  t.total <- !total;
-  t.enters <- !enters;
-  t.exits <- !exits;
-  let st = Packed.stats packed in
-  st.Transition.steps <- st.Transition.steps + len;
-  st.Transition.in_trace_hits <- st.Transition.in_trace_hits + !in_hits;
-  st.Transition.global_hits <- st.Transition.global_hits + !g_hits;
-  st.Transition.global_misses <- st.Transition.global_misses + !g_miss;
-  Packed.add_cycles packed !cycles
-
-(* The same fused loop over a repacked image: inline cache first, then
-   the most-taken-first hot prefix, then binary search over the sorted
-   tail, then the hash path. Resolution costs come from the precomputed
-   edge_cost/miss_cost tables (an IC hit charges exactly what the scan
-   charged when the entry was filled), so simulated cycles stay a pure
-   function of the replayed stream — see the Packed docs for why that
-   keeps sharded replay bit-identical. *)
-let run_packed_hot t packed addrs ins ~off ~len =
-  let v = Packed.hot_view packed in
-  let offsets = v.Packed.v_offsets in
-  let labels = v.Packed.v_labels in
-  let targets = v.Packed.v_targets in
-  let hot_len = v.Packed.v_hot_len in
-  let edge_cost = v.Packed.v_edge_cost in
-  let miss_cost = v.Packed.v_miss_cost in
-  let ic_label = v.Packed.v_ic_label in
-  let ic_target = v.Packed.v_ic_target in
-  let ic_cost = v.Packed.v_ic_cost in
-  let keys = v.Packed.v_hash_keys in
-  let vals = v.Packed.v_hash_vals in
-  let mask = Array.length keys - 1 in
-  let n_slots = Array.length offsets - 1 in
-  if t.state < 0 || t.state >= n_slots then
-    invalid_arg "Replayer.feed_run: state id outside the frozen image";
-  if Array.length t.counts < n_slots then grow_counts t (n_slots - 1);
-  let counts = t.counts in
-  let nte = Automaton.nte in
-  let state = ref t.state in
-  let covered = ref t.covered and total = ref t.total in
-  let enters = ref t.enters and exits = ref t.exits in
-  let in_hits = ref 0 and g_hits = ref 0 and g_miss = ref 0 in
-  let ic_h = ref 0 and ic_m = ref 0 in
-  let cycles = ref 0 in
-  let hprobe =
-    match Tea_telemetry.Probe.metrics () with
-    | None -> None
-    | Some m -> Some (Tea_telemetry.Metrics.histogram m "packed.hash_probe_len")
-  in
-  let tly = Tierstat.tally () in
-  for i = off to off + len - 1 do
-    let pc = Array.unsafe_get addrs i in
-    let prev = !state in
-    let next =
-      if Array.unsafe_get ic_label prev = pc then begin
-        (* monomorphic inline cache: one compare, one precomputed charge *)
-        incr ic_h;
-        incr in_hits;
-        cycles := !cycles + Array.unsafe_get ic_cost prev;
-        (match tly with
-        | None -> ()
-        | Some a -> Tierstat.bump a ~tier:Tierstat.t_ic ~state:prev);
-        Array.unsafe_get ic_target prev
-      end
-      else begin
-        incr ic_m;
-        let lo = Array.unsafe_get offsets prev in
-        let hi = Array.unsafe_get offsets (prev + 1) in
-        let stop = lo + Array.unsafe_get hot_len prev in
-        (* linear scan of the most-taken-first prefix *)
-        let e = ref (-1) in
-        let j = ref lo in
-        while !e < 0 && !j < stop do
-          if Array.unsafe_get labels !j = pc then e := !j else incr j
-        done;
-        (* binary search over the sorted tail *)
-        if !e < 0 && hi > stop then begin
-          let base = ref stop and l = ref (hi - stop) in
-          while !l > 1 do
-            let half = !l lsr 1 in
-            if Array.unsafe_get labels (!base + half) <= pc then
-              base := !base + half;
-            l := !l - half
-          done;
-          if Array.unsafe_get labels !base = pc then e := !base
-        end;
-        if !e >= 0 then begin
-          incr in_hits;
-          let c = Array.unsafe_get edge_cost !e in
-          cycles := !cycles + c;
-          let tgt = Array.unsafe_get targets !e in
-          Array.unsafe_set ic_label prev pc;
-          Array.unsafe_set ic_target prev tgt;
-          Array.unsafe_set ic_cost prev c;
-          (match tly with
-          | None -> ()
-          | Some a ->
-              (* [!e < stop]: the most-taken-first prefix; otherwise the
-                 binary-search tail. *)
-              let tier =
-                if !e < stop then Tierstat.t_hot else Tierstat.t_search
-              in
-              Tierstat.bump a ~tier ~state:prev);
-          tgt
-        end
-        else begin
-          (* span miss: charge the full scan, then the hash path *)
-          cycles :=
-            !cycles + Array.unsafe_get miss_cost prev + Packed.cost_hash_base;
-          let c0 = !cycles in
-          let idx = ref (Packed.hash_pc mask pc) in
-          let found = ref (-2) in
-          while !found = -2 do
-            cycles := !cycles + Packed.cost_hash_probe;
-            let k = Array.unsafe_get keys !idx in
-            if k = pc then found := Array.unsafe_get vals !idx
-            else if k < 0 then found := -1
-            else idx := (!idx + 1) land mask
-          done;
-          (match hprobe with
-          | None -> ()
-          | Some h ->
-              Tea_telemetry.Metrics.observe h
-                ((!cycles - c0) / Packed.cost_hash_probe));
-          (match tly with
-          | None -> ()
-          | Some a ->
-              let tier =
-                if !found >= 0 then Tierstat.t_hash else Tierstat.t_miss
-              in
-              Tierstat.bump a ~tier ~state:prev);
-          if !found >= 0 then begin
-            incr g_hits;
-            !found
-          end
-          else begin
-            incr g_miss;
-            cycles := !cycles + Transition.cost_nte_miss;
-            nte
-          end
-        end
-      end
-    in
-    let insns = Array.unsafe_get ins i in
-    state := next;
-    total := !total + insns;
-    if next <> nte then begin
-      covered := !covered + insns;
-      Array.unsafe_set counts next (1 + Array.unsafe_get counts next)
-    end;
-    if prev = nte && next <> nte then incr enters;
-    if prev <> nte && next = nte then incr exits
-  done;
-  (match Tea_telemetry.Probe.metrics () with
-  | None -> ()
-  | Some m ->
-      let open Tea_telemetry.Metrics in
-      count m "replayer.steps" len;
-      count m "replayer.trace_enters" (!enters - t.enters);
-      count m "replayer.trace_exits" (!exits - t.exits);
-      count m "packed.in_trace_hit" !in_hits;
-      count m "packed.global_hit" !g_hits;
-      count m "packed.global_miss" !g_miss;
-      count m "packed.ic_hit" !ic_h;
-      count m "packed.ic_miss" !ic_m);
-  t.state <- !state;
-  t.covered <- !covered;
-  t.total <- !total;
-  t.enters <- !enters;
-  t.exits <- !exits;
-  let st = Packed.stats packed in
-  st.Transition.steps <- st.Transition.steps + len;
-  st.Transition.in_trace_hits <- st.Transition.in_trace_hits + !in_hits;
-  st.Transition.global_hits <- st.Transition.global_hits + !g_hits;
-  st.Transition.global_misses <- st.Transition.global_misses + !g_miss;
-  Packed.add_ic packed ~hits:!ic_h ~misses:!ic_m;
-  Packed.add_cycles packed !cycles
-
-(* The fused loop over an image carrying a {!Packed.fusion} overlay: when
-   the current state sits on a fused chain, a run of upcoming PCs is
-   matched against the chain's signature with one comparison loop — no
-   automaton dispatch — and the per-step accounting is charged in bulk
-   (for a cyclic chain, [full] complete iterations cost O(cycle length)
-   regardless of [full]). Observational equality with the unfused loops
-   is structural: {!Packed.with_fusion} validates that each chain edge
-   restates a 1-edge span with the exact cost the ordinary dispatch
-   charges, every chain target is in-trace, and a mismatching or
-   unchained PC falls through to a verbatim copy of the unfused
-   dispatch. Only the inline-cache hit/miss {e split} can differ (chain
-   steps consult no IC) — the same documented exception as the parallel
-   driver's chunk-local IC; it is excluded from {!snapshot}. *)
-let run_packed_fused t packed (f : Packed.fusion) addrs ins ~off ~len =
-  let raw = Packed.to_raw packed in
-  let offsets = raw.Packed.offsets in
-  let labels = raw.Packed.labels in
-  let targets = raw.Packed.targets in
-  let keys = raw.Packed.hash_keys in
-  let vals = raw.Packed.hash_vals in
-  let hot_len = raw.Packed.hot_len in
-  let repacked = Packed.is_repacked packed in
-  (* Repacked-only live arrays; empty — and never read — on a flat base. *)
-  let edge_cost, miss_cost, ic_label, ic_target, ic_cost =
-    if repacked then
-      let v = Packed.hot_view packed in
-      ( v.Packed.v_edge_cost,
-        v.Packed.v_miss_cost,
-        v.Packed.v_ic_label,
-        v.Packed.v_ic_target,
-        v.Packed.v_ic_cost )
-    else ([||], [||], [||], [||], [||])
-  in
-  let fchain = f.Packed.fchain in
-  let fpos = f.Packed.fpos in
-  let foff = f.Packed.foff in
-  let fcyc = f.Packed.fcyc in
-  let fsig = f.Packed.fsig in
-  let ftgt = f.Packed.ftgt in
-  let fecost = f.Packed.fecost in
-  (* Per-chain cost sums, hoisted once per batch: a full cycle iteration
-     charges a constant, so the fast-forward multiplies instead of
-     re-summing fecost on every chain entry. *)
-  let n_chains = Array.length foff - 1 in
-  let csums = Array.make (max 1 n_chains) 0 in
-  for c = 0 to n_chains - 1 do
-    let s = ref 0 in
-    for e = foff.(c) to foff.(c + 1) - 1 do
-      s := !s + fecost.(e)
-    done;
-    csums.(c) <- !s
-  done;
-  let mask = Array.length keys - 1 in
-  let n_slots = Array.length offsets - 1 in
-  if t.state < 0 || t.state >= n_slots then
-    invalid_arg "Replayer.feed_run: state id outside the frozen image";
-  if Array.length t.counts < n_slots then grow_counts t (n_slots - 1);
-  let counts = t.counts in
-  let nte = Automaton.nte in
-  let state = ref t.state in
-  let covered = ref t.covered and total = ref t.total in
-  let enters = ref t.enters and exits = ref t.exits in
-  let in_hits = ref 0 and g_hits = ref 0 and g_miss = ref 0 in
-  let ic_h = ref 0 and ic_m = ref 0 in
-  let fused_steps = ref 0 in
-  let cycles = ref 0 in
-  let hprobe =
-    match Tea_telemetry.Probe.metrics () with
-    | None -> None
-    | Some m -> Some (Tea_telemetry.Metrics.histogram m "packed.hash_probe_len")
-  in
-  let tly = Tierstat.tally () in
   let stop = off + len in
   let i = ref off in
   while !i < stop do
     let prev = !state in
-    let c = Array.unsafe_get fchain prev in
     let matched =
-      if c < 0 then 0
-      else begin
-        let lo = Array.unsafe_get foff c in
-        let hi = Array.unsafe_get foff (c + 1) in
-        let p = Array.unsafe_get fpos prev in
-        if Array.unsafe_get fcyc c = 1 then begin
-          (* Cyclic chain: match the incoming PC run against the cycle's
-             signature, wrapping — one compare + one insns add per step. *)
-          let j = ref !i and q = ref (lo + p) and isum = ref 0 in
-          while
-            !j < stop && Array.unsafe_get addrs !j = Array.unsafe_get fsig !q
-          do
-            isum := !isum + Array.unsafe_get ins !j;
-            incr j;
-            incr q;
-            if !q = hi then q := lo
-          done;
-          let m = !j - !i in
-          if m > 0 then begin
-            let l = hi - lo in
-            (* Short matches (the common exit-every-lap-or-two case) skip
-               the division entirely; only long fast-forwards pay it, where
-               it is amortized over >= 2l steps. *)
-            let full =
-              if m < l then 0 else if m - l < l then 1 else m / l
-            in
-            let rem = m - (full * l) in
-            (* [full] complete iterations: every edge taken [full] times,
-               the cycle cost charged as one multiply — the fast-forward. *)
-            if full > 0 then begin
-              cycles := !cycles + (full * Array.unsafe_get csums c);
-              for e = lo to hi - 1 do
-                let tgt = Array.unsafe_get ftgt e in
-                Array.unsafe_set counts tgt (full + Array.unsafe_get counts tgt)
-              done
-            end;
-            (* [rem] leftover steps from position [p], wrapping once. *)
-            let e = ref (lo + p) in
-            for _ = 1 to rem do
-              cycles := !cycles + Array.unsafe_get fecost !e;
-              let tgt = Array.unsafe_get ftgt !e in
-              Array.unsafe_set counts tgt (1 + Array.unsafe_get counts tgt);
-              incr e;
-              if !e = hi then e := lo
-            done;
-            (* Tier attribution: the source of the edge at ring position
-               [q] is the previous position's target — a fixed property of
-               the cycle, so the charge is independent of how the match
-               splits across batches. *)
-            (match tly with
-            | None -> ()
-            | Some a ->
-                if full > 0 then
-                  for e = lo to hi - 1 do
-                    let src =
-                      Array.unsafe_get ftgt (if e = lo then hi - 1 else e - 1)
-                    in
-                    Tierstat.bump_n a ~tier:Tierstat.t_fused ~state:src full
-                  done;
-                let e = ref (lo + p) in
-                for _ = 1 to rem do
-                  let src =
-                    Array.unsafe_get ftgt (if !e = lo then hi - 1 else !e - 1)
-                  in
-                  Tierstat.bump a ~tier:Tierstat.t_fused ~state:src;
-                  incr e;
-                  if !e = hi then e := lo
-                done);
-            covered := !covered + !isum;
-            total := !total + !isum;
-            in_hits := !in_hits + m;
-            (* the edge that produced the final state sits just before the
-               next expected position [!q] — no second division *)
-            let last = if !q = lo then hi - 1 else !q - 1 in
-            state := Array.unsafe_get ftgt last;
-            i := !j
-          end;
-          m
-        end
-        else begin
-          (* Straight chain: match linearly up to the chain's end. *)
-          let j = ref !i and q = ref (lo + p) and isum = ref 0 in
-          while
-            !q < hi && !j < stop
-            && Array.unsafe_get addrs !j = Array.unsafe_get fsig !q
-          do
-            isum := !isum + Array.unsafe_get ins !j;
-            incr j;
-            incr q
-          done;
-          let m = !j - !i in
-          if m > 0 then begin
-            for e = lo + p to lo + p + m - 1 do
-              cycles := !cycles + Array.unsafe_get fecost e;
-              let tgt = Array.unsafe_get ftgt e in
-              Array.unsafe_set counts tgt (1 + Array.unsafe_get counts tgt)
-            done;
-            (* Entry state [prev] sources the first matched edge; each
-               later edge's source is the previous edge's target. *)
-            (match tly with
-            | None -> ()
-            | Some a ->
-                let src = ref prev in
-                for e = lo + p to lo + p + m - 1 do
-                  Tierstat.bump a ~tier:Tierstat.t_fused ~state:!src;
-                  src := Array.unsafe_get ftgt e
-                done);
-            covered := !covered + !isum;
-            total := !total + !isum;
-            in_hits := !in_hits + m;
-            state := Array.unsafe_get ftgt (lo + p + m - 1);
-            i := !j
-          end;
-          m
-        end
-      end
+      match fusion with
+      | None -> 0
+      | Some f ->
+          let c = Array.unsafe_get fchain prev in
+          if c < 0 then 0
+          else match_chain f csums counts tly addrs ins ~i:!i ~stop ~prev c run
     in
     if matched = 0 then begin
-      (* Unchained state, or the stream diverged from the chain signature:
-         one verbatim unfused dispatch step (IC/prefix/tail/hash when
-         repacked, binary search/hash when flat), so costs and counters
-         stay bit-identical to the unfused loops. *)
+      (* One dispatch step: unchained state, no overlay, or the stream
+         diverged from the chain signature. *)
       let pc = Array.unsafe_get addrs !i in
       let next =
-        if repacked then begin
-          if Array.unsafe_get ic_label prev = pc then begin
-            incr ic_h;
-            incr in_hits;
-            cycles := !cycles + Array.unsafe_get ic_cost prev;
-            (match tly with
-            | None -> ()
-            | Some a -> Tierstat.bump a ~tier:Tierstat.t_ic ~state:prev);
-            Array.unsafe_get ic_target prev
-          end
-          else begin
-            incr ic_m;
-            let lo = Array.unsafe_get offsets prev in
-            let hi = Array.unsafe_get offsets (prev + 1) in
-            let hstop = lo + Array.unsafe_get hot_len prev in
-            let e = ref (-1) in
-            let j = ref lo in
-            while !e < 0 && !j < hstop do
-              if Array.unsafe_get labels !j = pc then e := !j else incr j
-            done;
-            if !e < 0 && hi > hstop then begin
-              let base = ref hstop and l = ref (hi - hstop) in
-              while !l > 1 do
-                let half = !l lsr 1 in
-                if Array.unsafe_get labels (!base + half) <= pc then
-                  base := !base + half;
-                l := !l - half
-              done;
-              if Array.unsafe_get labels !base = pc then e := !base
-            end;
-            if !e >= 0 then begin
-              incr in_hits;
-              let cst = Array.unsafe_get edge_cost !e in
-              cycles := !cycles + cst;
-              let tgt = Array.unsafe_get targets !e in
-              Array.unsafe_set ic_label prev pc;
-              Array.unsafe_set ic_target prev tgt;
-              Array.unsafe_set ic_cost prev cst;
-              (match tly with
-              | None -> ()
-              | Some a ->
-                  let tier =
-                    if !e < hstop then Tierstat.t_hot else Tierstat.t_search
-                  in
-                  Tierstat.bump a ~tier ~state:prev);
-              tgt
-            end
-            else begin
-              cycles :=
-                !cycles + Array.unsafe_get miss_cost prev
-                + Packed.cost_hash_base;
-              let c0 = !cycles in
-              let idx = ref (Packed.hash_pc mask pc) in
-              let found = ref (-2) in
-              while !found = -2 do
-                cycles := !cycles + Packed.cost_hash_probe;
-                let k = Array.unsafe_get keys !idx in
-                if k = pc then found := Array.unsafe_get vals !idx
-                else if k < 0 then found := -1
-                else idx := (!idx + 1) land mask
-              done;
-              (match hprobe with
-              | None -> ()
-              | Some h ->
-                  Tea_telemetry.Metrics.observe h
-                    ((!cycles - c0) / Packed.cost_hash_probe));
-              (match tly with
-              | None -> ()
-              | Some a ->
-                  let tier =
-                    if !found >= 0 then Tierstat.t_hash else Tierstat.t_miss
-                  in
-                  Tierstat.bump a ~tier ~state:prev);
-              if !found >= 0 then begin
-                incr g_hits;
-                !found
-              end
-              else begin
-                incr g_miss;
-                cycles := !cycles + Transition.cost_nte_miss;
-                nte
-              end
-            end
-          end
+        if repacked && Array.unsafe_get ic_label prev = pc then begin
+          (* monomorphic inline cache: one compare, one precomputed charge *)
+          incr ic_h;
+          cycles := !cycles + Array.unsafe_get ic_cost prev;
+          (match tly with
+          | None -> ()
+          | Some a -> Tierstat.bump a ~tier:Tierstat.t_ic ~state:prev);
+          Array.unsafe_get ic_target prev
         end
         else begin
           let lo = Array.unsafe_get offsets prev in
           let hi = Array.unsafe_get offsets (prev + 1) in
           let hit =
-            if hi > lo then begin
+            if repacked then begin
+              incr ic_m;
+              let hstop = lo + Array.unsafe_get hot_len prev in
+              (* linear scan of the most-taken-first prefix *)
+              let e = ref (-1) in
+              let j = ref lo in
+              while !e < 0 && !j < hstop do
+                if Array.unsafe_get labels !j = pc then e := !j else incr j
+              done;
+              (* binary search over the sorted tail *)
+              if !e < 0 && hi > hstop then begin
+                let base = ref hstop and l = ref (hi - hstop) in
+                while !l > 1 do
+                  let half = !l lsr 1 in
+                  if Array.unsafe_get labels (!base + half) <= pc then
+                    base := !base + half;
+                  l := !l - half
+                done;
+                if Array.unsafe_get labels !base = pc then e := !base
+              end;
+              if !e >= 0 then begin
+                let cst = Array.unsafe_get edge_cost !e in
+                cycles := !cycles + cst;
+                let tgt = Array.unsafe_get targets !e in
+                Array.unsafe_set ic_label prev pc;
+                Array.unsafe_set ic_target prev tgt;
+                Array.unsafe_set ic_cost prev cst;
+                (match tly with
+                | None -> ()
+                | Some a ->
+                    (* [!e < hstop]: the most-taken-first prefix; otherwise
+                       the binary-search tail. *)
+                    let tier =
+                      if !e < hstop then Tierstat.t_hot else Tierstat.t_search
+                    in
+                    Tierstat.bump a ~tier ~state:prev);
+                tgt
+              end
+              else begin
+                (* span miss: charge the full scan *)
+                cycles := !cycles + Array.unsafe_get miss_cost prev;
+                -1
+              end
+            end
+            else if hi > lo then begin
+              (* branchless lower bound over the state's sorted span *)
               let base = ref lo and l = ref (hi - lo) in
               while !l > 1 do
                 let half = !l lsr 1 in
@@ -699,20 +443,20 @@ let run_packed_fused t packed (f : Packed.fusion) addrs ins ~off ~len =
                 cycles := !cycles + Packed.cost_search_step
               done;
               cycles := !cycles + Packed.cost_search_step;
-              if Array.unsafe_get labels !base = pc then
+              if Array.unsafe_get labels !base = pc then begin
+                (match tly with
+                | None -> ()
+                | Some a ->
+                    Tierstat.bump a ~tier:Tierstat.t_search ~state:prev);
                 Array.unsafe_get targets !base
+              end
               else -1
             end
             else -1
           in
-          if hit >= 0 then begin
-            incr in_hits;
-            (match tly with
-            | None -> ()
-            | Some a -> Tierstat.bump a ~tier:Tierstat.t_search ~state:prev);
-            hit
-          end
+          if hit >= 0 then hit
           else begin
+            (* cross-trace / cold: probe the trace-head hash *)
             cycles := !cycles + Packed.cost_hash_base;
             let c0 = !cycles in
             let idx = ref (Packed.hash_pc mask pc) in
@@ -727,6 +471,7 @@ let run_packed_fused t packed (f : Packed.fusion) addrs ins ~off ~len =
             (match hprobe with
             | None -> ()
             | Some h ->
+                (* cost_hash_probe = 1 cycle per slot examined *)
                 Tea_telemetry.Metrics.observe h
                   ((!cycles - c0) / Packed.cost_hash_probe));
             (match tly with
@@ -759,83 +504,35 @@ let run_packed_fused t packed (f : Packed.fusion) addrs ins ~off ~len =
       if prev <> nte && next = nte then incr exits;
       incr i
     end
-    else fused_steps := !fused_steps + matched
+    else begin
+      cycles := !cycles + run.r_cycles;
+      covered := !covered + run.r_insns;
+      total := !total + run.r_insns;
+      state := run.r_state;
+      i := !i + matched;
+      fused_steps := !fused_steps + matched
+    end
   done;
-  (match Tea_telemetry.Probe.metrics () with
-  | None -> ()
-  | Some m ->
-      let open Tea_telemetry.Metrics in
-      count m "replayer.steps" len;
-      count m "replayer.trace_enters" (!enters - t.enters);
-      count m "replayer.trace_exits" (!exits - t.exits);
-      count m "packed.in_trace_hit" !in_hits;
-      count m "packed.global_hit" !g_hits;
-      count m "packed.global_miss" !g_miss;
-      count m "packed.fused_steps" !fused_steps;
-      if repacked then begin
-        count m "packed.ic_hit" !ic_h;
-        count m "packed.ic_miss" !ic_m
-      end);
-  t.state <- !state;
-  t.covered <- !covered;
-  t.total <- !total;
-  t.enters <- !enters;
-  t.exits <- !exits;
-  let st = Packed.stats packed in
-  st.Transition.steps <- st.Transition.steps + len;
-  st.Transition.in_trace_hits <- st.Transition.in_trace_hits + !in_hits;
-  st.Transition.global_hits <- st.Transition.global_hits + !g_hits;
-  st.Transition.global_misses <- st.Transition.global_misses + !g_miss;
-  if repacked then Packed.add_ic packed ~hits:!ic_h ~misses:!ic_m;
-  Packed.add_cycles packed !cycles
-
-let run_packed t packed addrs ins ~off ~len =
-  match Packed.fusion_of packed with
-  | Some f -> run_packed_fused t packed f addrs ins ~off ~len
-  | None ->
-      if Packed.is_repacked packed then
-        run_packed_hot t packed addrs ins ~off ~len
-      else run_packed_flat t packed addrs ins ~off ~len
+  flush_batch t packed ~len ~ic:repacked ~state:!state ~covered:!covered
+    ~total:!total ~enters:!enters ~exits:!exits ~g_hits:!g_hits
+    ~g_miss:!g_miss ~fused_steps:!fused_steps ~ic_hits:!ic_h ~ic_misses:!ic_m
+    ~cycles:!cycles
 
 (* Batch replay through the closure-threaded compiled image: the
-   threading itself lives in {!Compiled}; this wrapper validates the
-   entry state, grows the count array once (every closure writes
-   straight into it), applies the batch's deltas and flushes the same
-   telemetry/stats the interpreted loops flush. In-trace hits are
-   derived ([len - hash hits - hash misses]): every step resolves
-   in-span / on-chain, in the global hash, or not at all. *)
+   threading itself lives in {!Compiled}; every closure writes straight
+   into the count array, and the batch's deltas go through the same
+   epilogue as the packed loop's. The compiled engine keeps no inline
+   cache, so no [packed.ic_*] counters. *)
 let run_compiled t c addrs ins ~off ~len =
   let base = Compiled.base c in
-  let n_slots = Packed.n_slots base in
-  if t.state < 0 || t.state >= n_slots then
-    invalid_arg "Replayer.feed_run: state id outside the frozen image";
-  if Array.length t.counts < n_slots then grow_counts t (n_slots - 1);
+  enter_batch t (Packed.n_slots base);
   let d = Compiled.run c ~state:t.state ~counts:t.counts ~off addrs ins ~len in
-  let in_hits = len - d.Compiled.d_g_hits - d.Compiled.d_g_miss in
-  (match Tea_telemetry.Probe.metrics () with
-  | None -> ()
-  | Some m ->
-      let open Tea_telemetry.Metrics in
-      count m "replayer.steps" len;
-      count m "replayer.trace_enters" d.Compiled.d_enters;
-      count m "replayer.trace_exits" d.Compiled.d_exits;
-      count m "packed.in_trace_hit" in_hits;
-      count m "packed.global_hit" d.Compiled.d_g_hits;
-      count m "packed.global_miss" d.Compiled.d_g_miss;
-      if Packed.is_fused base then
-        count m "packed.fused_steps" d.Compiled.d_fused_steps);
-  t.state <- d.Compiled.d_state;
-  t.covered <- t.covered + d.Compiled.d_covered;
-  t.total <- t.total + d.Compiled.d_total;
-  t.enters <- t.enters + d.Compiled.d_enters;
-  t.exits <- t.exits + d.Compiled.d_exits;
-  let st = Packed.stats base in
-  st.Transition.steps <- st.Transition.steps + len;
-  st.Transition.in_trace_hits <- st.Transition.in_trace_hits + in_hits;
-  st.Transition.global_hits <- st.Transition.global_hits + d.Compiled.d_g_hits;
-  st.Transition.global_misses <-
-    st.Transition.global_misses + d.Compiled.d_g_miss;
-  Packed.add_cycles base d.Compiled.d_cycles
+  flush_batch t base ~len ~ic:false ~state:d.Compiled.d_state
+    ~covered:d.Compiled.d_covered ~total:d.Compiled.d_total
+    ~enters:d.Compiled.d_enters ~exits:d.Compiled.d_exits
+    ~g_hits:d.Compiled.d_g_hits ~g_miss:d.Compiled.d_g_miss
+    ~fused_steps:d.Compiled.d_fused_steps ~ic_hits:0 ~ic_misses:0
+    ~cycles:d.Compiled.d_cycles
 
 let no_insns = [||]
 
@@ -848,7 +545,7 @@ let feed_run t ?(off = 0) ?insns addrs ~len =
   | _ -> ());
   (* reuse a cached all-zero scratch instead of allocating a fresh
      array on every no-insns batch *)
-  let scratch_ins () =
+  let ins =
     match insns with
     | Some a -> a
     | None ->
@@ -862,23 +559,15 @@ let feed_run t ?(off = 0) ?insns addrs ~len =
   (* The engine match is hoisted out of the loop: one branchy dispatch per
      batch, not one per block. *)
   match t.engine with
-  | Packed packed -> run_packed t packed addrs (scratch_ins ()) ~off ~len
-  | Compiled c -> run_compiled t c addrs (scratch_ins ()) ~off ~len
+  | Packed packed -> run_packed t packed addrs ins ~off ~len
+  | Compiled c -> run_compiled t c addrs ins ~off ~len
   | Reference trans ->
       let enters0 = t.enters and exits0 = t.exits in
-      (match insns with
-      | Some ins ->
-          for i = off to off + len - 1 do
-            let prev = t.state in
-            let next = Transition.step trans prev (Array.unsafe_get addrs i) in
-            account t prev next (Array.unsafe_get ins i)
-          done
-      | None ->
-          for i = off to off + len - 1 do
-            let prev = t.state in
-            let next = Transition.step trans prev (Array.unsafe_get addrs i) in
-            account t prev next 0
-          done);
+      for i = off to off + len - 1 do
+        let prev = t.state in
+        let next = Transition.step trans prev (Array.unsafe_get addrs i) in
+        account t prev next (Array.unsafe_get ins i)
+      done;
       (match Tea_telemetry.Probe.metrics () with
       | None -> ()
       | Some m ->

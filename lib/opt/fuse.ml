@@ -138,11 +138,11 @@ let fuse ?(min_chain = default_min_chain) ?profile
   in
   let kept = List.filter keep (decompose next) in
   (* Whole-image coverage gate: every dispatch from an unchained state —
-     or past a signature divergence — pays the fused loop's heavier
-     verbatim path, whether or not any chain nearby matched. When the
-     profile says chain matching would absorb too small a share of the
-     stream's dispatches to recoup that, the honest answer is not to
-     fuse this image at all. *)
+     or past a signature divergence — pays a chain probe before the batch
+     loop's ordinary dispatch step, whether or not any chain nearby
+     matched. When the profile says chain matching would absorb too
+     small a share of the stream's dispatches to recoup that, the honest
+     answer is not to fuse this image at all. *)
   let kept =
     match profile with
     | None -> kept

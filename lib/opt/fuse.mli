@@ -60,14 +60,15 @@ val fuse :
     (default {!default_min_expected_run}), and the image is fused at all
     only when the kept chains would absorb at least [min_coverage]
     (default {!default_min_coverage}) of the stream's profiled
-    dispatches — every step the matcher does {e not} absorb runs the
-    fused loop's heavier verbatim path, so sparse chain coverage is a
-    net loss. This is how fusion composes with PGO: the same stream
-    that guided {!Repack.repack} gates out chains the stream escapes
-    every lap or two, where per-entry matching overhead outweighs the
-    bulk-charge win (fusion stays observationally the identity either
-    way — the filters only change {e which} chains exist, never what
-    replay observes). Without [profile] selection is purely structural.
+    dispatches — every step the matcher does {e not} absorb pays a
+    chain probe before the batch loop's ordinary dispatch step, so
+    sparse chain coverage is a net loss. This is how fusion composes
+    with PGO: the same stream that guided {!Repack.repack} gates out
+    chains the stream escapes every lap or two, where per-entry matching
+    overhead outweighs the bulk-charge win (fusion stays observationally
+    the identity either way — the filters only change {e which} chains
+    exist, never what replay observes). Without [profile] selection is
+    purely structural.
     @raise Invalid_argument when [min_chain < 1] or [profile]'s shape
     does not match [packed]. *)
 

@@ -18,6 +18,7 @@ type session = {
   queue : Evq.t;  (* unboxed event ring, see evq.mli *)
   raw : Buffer.t option;  (* retained bytes for the offline differential *)
   epoch0 : int;  (* image epoch the session was accepted under *)
+  asids : (int, unit) Hashtbl.t;  (* asids that carried a block so far *)
   mutable evs : int;  (* events decoded so far (swap-schedule positions) *)
   mutable swapped : (int * int) list;  (* (event index, new epoch), newest first *)
   mutable ended : bool;  (* end-of-stream frame received *)
@@ -92,6 +93,13 @@ type t = {
 }
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+
+(* Every asid that carries a block gets its own dup of the image (and,
+   under [`Compiled], its own compiled image), so the distinct asids of
+   one session are capped: a session past the cap is dropped. *)
+let max_session_asids = 1024
+
+exception Session_limit of string
 
 (* Per-asid replayer factory for a session's demuxed replay. Every
    session (and the offline re-check) dups the shared image, so
@@ -298,6 +306,14 @@ let on_frame t s (f : Frame.frame) =
       let q = s.queue in
       Core.Pc_trace.feed_segments s.dec t.ingest f.payload
         ~run:(fun b ~asid ~off ~len ->
+          if not (Hashtbl.mem s.asids asid) then begin
+            if Hashtbl.length s.asids >= max_session_asids then
+              raise
+                (Session_limit
+                   (Printf.sprintf "more than %d asids in one session"
+                      max_session_asids));
+            Hashtbl.replace s.asids asid ()
+          end;
           for i = off to off + len - 1 do
             Evq.push_raw q ~tag:Evq.tag_block ~asid b.Core.Pc_trace.starts.(i)
               b.Core.Pc_trace.insns.(i)
@@ -321,7 +337,8 @@ let read_session t chunk s =
       try Frame.parser_feed s.parser_ (Bytes.sub_string chunk 0 k) (on_frame t s)
       with
       | Frame.Corrupt msg -> fail_session s ("bad framing: " ^ msg)
-      | Core.Pc_trace.Corrupt msg -> fail_session s ("corrupt trace: " ^ msg))
+      | Core.Pc_trace.Corrupt msg -> fail_session s ("corrupt trace: " ^ msg)
+      | Session_limit msg -> fail_session s msg)
 
 let accept_limit_reached t until_sessions =
   match until_sessions with Some n -> t.accepted >= n | None -> false
@@ -347,6 +364,7 @@ let rec accept_all t until_sessions =
             queue = Evq.create ();
             raw = (if t.retain then Some (Buffer.create 4096) else None);
             epoch0 = t.epoch;
+            asids = Hashtbl.create 4;
             evs = 0;
             swapped = [];
             ended = false;

@@ -26,8 +26,9 @@
     - a completed session (end-of-stream frame received and queue
       drained) folds its profile into the fleet and gets the profile
       echoed back; a {b mid-stream disconnect} (EOF, reset, bad framing,
-      corrupt trace) discards the partial session — other sessions and
-      the fleet profile are untouched.
+      corrupt trace, more than {!max_session_asids} asids) discards the
+      partial session — other sessions and the fleet profile are
+      untouched.
 
     The daemon gate: the fleet profile of [n] concurrent sessions equals
     the merged profiles of replaying each session's stream offline,
@@ -106,6 +107,12 @@ val create :
     [retune] is given without [drift]/[base].
     @raise Unix.Unix_error when the address cannot be bound. *)
 
+val max_session_asids : int
+(** The most distinct asids one session may carry blocks for (1024).
+    Each one replays on its own dup of the image, so a session that
+    brings one more is dropped like a corrupt one: it gets an error
+    frame and its partial profile stays out of the fleet. *)
+
 val addr : t -> Frame.addr
 (** The bound address (with the real port for ephemeral TCP). *)
 
@@ -133,8 +140,8 @@ val completed : t -> int
 
 val disconnected : t -> int
 (** Sessions dropped mid-stream (EOF without end-of-stream frame, bad
-    framing, corrupt trace bytes). Their partial profiles are {e not} in
-    the fleet. *)
+    framing, corrupt trace bytes, too many asids). Their partial
+    profiles are {e not} in the fleet. *)
 
 val offline_profile : t -> Tea_parallel.Profile.t
 (** Sequential reference replay: every retained completed-session stream

@@ -194,17 +194,6 @@ let snapshots_equal_mod_ic s1 s4 =
   = List.filter (fun (n, _) -> not (variable_counter n)) s4.Metrics.s_counters
   && s1.Metrics.s_histograms = s4.Metrics.s_histograms
 
-let sharded_snapshot img ~insns addrs ~len jobs =
-  Probe.install ();
-  Fun.protect
-    ~finally:(fun () -> if Probe.enabled () then ignore (Probe.uninstall ()))
-    (fun () ->
-      let profile =
-        Tea_parallel.Pool.with_pool ~jobs (fun pool ->
-            Tea_parallel.Shard.replay_arrays pool img ~insns addrs ~len)
-      in
-      (profile, Probe.uninstall ()))
-
 let prop_sharded_fused_replay =
   QCheck.Test.make ~name:"fused replay: jobs 2/4 merge to jobs 1" ~count:15
     gen_workload (fun w ->
@@ -215,12 +204,14 @@ let prop_sharded_fused_replay =
       List.for_all
         (fun base ->
           let fused = Fuse.fuse base in
-          let p1, s1 = sharded_snapshot fused ~insns addrs ~len 1 in
+          let p1, s1 = Support.sharded_snapshot fused ~insns addrs ~len 1 in
           (* the unfused sequential snapshot IS a profile *)
           let pseq = batch_snapshot base ~insns addrs ~len in
           List.for_all
             (fun jobs ->
-              let pn, sn = sharded_snapshot fused ~insns addrs ~len jobs in
+              let pn, sn =
+                Support.sharded_snapshot fused ~insns addrs ~len jobs
+              in
               Tea_parallel.Profile.equal p1 pn && snapshots_equal_mod_ic s1 sn)
             [ 2; 4 ]
           && Tea_parallel.Profile.equal p1 pseq)
@@ -459,41 +450,7 @@ let test_profile_filter () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* ---------------- `info` golden on the listscan image ---------------- *)
-
-let update_dir = Sys.getenv_opt "TEA_GOLDEN_UPDATE"
-
-let golden_root =
-  if Sys.file_exists "goldens" then "goldens"
-  else Filename.concat "test" "goldens"
-
-let check_golden_file name actual =
-  match update_dir with
-  | Some dir ->
-      let path = Filename.concat dir name in
-      let oc = open_out_bin path in
-      output_string oc actual;
-      close_out oc;
-      Printf.printf "updated %s (%d bytes)\n%!" path (String.length actual)
-  | None ->
-      let path = Filename.concat golden_root name in
-      let expected =
-        try
-          let ic = open_in_bin path in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        with Sys_error _ ->
-          Alcotest.failf
-            "missing golden %s - regenerate with TEA_GOLDEN_UPDATE" path
-      in
-      if expected <> actual then begin
-        let got = Filename.temp_file "tea_golden" ".got" in
-        let oc = open_out_bin got in
-        output_string oc actual;
-        close_out oc;
-        Alcotest.failf "golden mismatch for %s (actual output in %s)" name got
-      end
+(* ---------------- goldens on the listscan image ---------------- *)
 
 (* What `tea_tool info` prints for the fused listscan image: the
    describe_packed rendering is a pure function of the arrays, so it is
@@ -501,8 +458,30 @@ let check_golden_file name actual =
 let test_info_golden () =
   let flat, _, _, _ = listscan_fixture () in
   let fused = Fuse.fuse flat in
-  check_golden_file "info_listscan.txt"
+  Support.check_golden_file "info_listscan.txt"
     (Serialize.describe_packed flat ^ "--\n" ^ Serialize.describe_packed fused)
+
+(* The fused loop's telemetry set, frozen like metrics_repack_listscan.txt
+   but on a repack+fuse image: listscan repacked from its own stream, then
+   fused structurally (the profile gate would drop listscan's bimodal
+   cycle, see test_profile_filter), replayed in one batch. It pins
+   packed.fused_steps next to the inline-cache and hash-probe counters. *)
+let test_metrics_fuse_golden () =
+  let flat, starts, insns, len = listscan_fixture () in
+  let tuned = Repack.repack flat (Repack.collect flat starts ~len) in
+  let fused = Fuse.fuse tuned in
+  check Alcotest.bool "repacked and fused" true
+    (Packed.is_repacked fused && Packed.n_chains fused > 0);
+  Probe.install ();
+  let snap =
+    Fun.protect
+      ~finally:(fun () -> if Probe.enabled () then ignore (Probe.uninstall ()))
+      (fun () ->
+        Replayer.feed_run (Replayer.create_packed fused) ~insns starts ~len;
+        Probe.uninstall ())
+  in
+  Support.check_golden_file "metrics_fuse_listscan.txt"
+    (Tea_report.Stats.render ~title:"telemetry" snap)
 
 let () =
   Alcotest.run "tea_fuse"
@@ -537,5 +516,7 @@ let () =
           Alcotest.test_case "profile-aware chain selection" `Quick
             test_profile_filter;
           Alcotest.test_case "info golden" `Quick test_info_golden;
+          Alcotest.test_case "--metrics golden with fused counters" `Quick
+            test_metrics_fuse_golden;
         ] );
     ]

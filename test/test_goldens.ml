@@ -56,49 +56,12 @@ let test_golden (name, expected) () =
 
    which rewrites the files in the source tree instead of comparing. *)
 
-let update_dir = Sys.getenv_opt "TEA_GOLDEN_UPDATE"
-
-(* `dune runtest` runs from _build/default/test (goldens/ materialized via
-   the deps glob); `dune exec test/test_goldens.exe` runs from the project
-   root, where the source copy lives *)
-let golden_root =
-  if Sys.file_exists "goldens" then "goldens" else Filename.concat "test" "goldens"
-
-let check_golden_file name actual =
-  match update_dir with
-  | Some dir ->
-      let path = Filename.concat dir name in
-      let oc = open_out_bin path in
-      output_string oc actual;
-      close_out oc;
-      Printf.printf "updated %s (%d bytes)\n%!" path (String.length actual)
-  | None ->
-      let path = Filename.concat golden_root name in
-      let expected =
-        try
-          let ic = open_in_bin path in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        with Sys_error _ ->
-          Alcotest.failf
-            "missing golden %s - regenerate with TEA_GOLDEN_UPDATE" path
-      in
-      if expected <> actual then begin
-        (* dump the mismatch next to the golden for easy diffing *)
-        let got = Filename.temp_file "tea_golden" ".got" in
-        let oc = open_out_bin got in
-        output_string oc actual;
-        close_out oc;
-        Alcotest.failf "golden mismatch for %s (actual output in %s)" name got
-      end
-
 let micro_automaton image =
   let r = Tea_dbt.Stardbt.record ~strategy:mret image in
   Tea_core.Builder.of_set r.Tea_dbt.Stardbt.set
 
 let test_dot_golden (file, title, image) () =
-  check_golden_file file
+  Support.check_golden_file file
     (Tea_core.Dot.of_automaton ~title (micro_automaton (image ())))
 
 let dot_goldens =
@@ -114,10 +77,10 @@ let test_table_goldens () =
   let benches =
     Tea_report.Experiments.prepare ~benchmarks:table_benchmarks ()
   in
-  check_golden_file "table1.txt"
+  Support.check_golden_file "table1.txt"
     (Tea_report.Experiments.render_table1
        (Tea_report.Experiments.table1 benches));
-  check_golden_file "table4.txt"
+  Support.check_golden_file "table4.txt"
     (Tea_report.Experiments.render_table4
        (Tea_report.Experiments.table4 benches))
 

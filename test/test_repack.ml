@@ -165,8 +165,8 @@ let prop_repack_pure_permutation =
         ])
 
 (* Batched feed_run on a repacked image must stay exactly len feed_addr
-   calls — the fused run_packed_hot loop replicates the IC/prefix/tail
-   step inline, and this property pins the replication. *)
+   calls — the packed batch loop replicates the IC/prefix/tail step
+   inline, and this property pins the replication. *)
 let prop_feed_run_equals_feed_addr =
   QCheck.Test.make ~name:"repacked feed_run == repeated feed_addr"
     ~count:100 gen_workload (fun w ->
@@ -257,17 +257,6 @@ let snapshots_equal_mod_ic s1 s4 =
   && s1.Metrics.s_histograms = s4.Metrics.s_histograms
   && ic_sum s1 = ic_sum s4
 
-let sharded_snapshot img ~insns addrs ~len jobs =
-  Probe.install ();
-  Fun.protect
-    ~finally:(fun () -> if Probe.enabled () then ignore (Probe.uninstall ()))
-    (fun () ->
-      let profile =
-        Tea_parallel.Pool.with_pool ~jobs (fun pool ->
-            Tea_parallel.Shard.replay_arrays pool img ~insns addrs ~len)
-      in
-      (profile, Probe.uninstall ()))
-
 let prop_sharded_repacked_replay =
   QCheck.Test.make ~name:"repacked replay: jobs 4 merges to jobs 1"
     ~count:20 gen_workload (fun w ->
@@ -275,8 +264,8 @@ let prop_sharded_repacked_replay =
       let flat = Packed.freeze auto in
       let addrs, insns, len = arrays_of_stream w.w_stream in
       let tuned = Repack.repack flat (Repack.collect flat addrs ~len) in
-      let p1, s1 = sharded_snapshot tuned ~insns addrs ~len 1 in
-      let p4, s4 = sharded_snapshot tuned ~insns addrs ~len 4 in
+      let p1, s1 = Support.sharded_snapshot tuned ~insns addrs ~len 1 in
+      let p4, s4 = Support.sharded_snapshot tuned ~insns addrs ~len 4 in
       Tea_parallel.Profile.equal p1 p4 && snapshots_equal_mod_ic s1 s4)
 
 (* ---------------- layout unit tests ---------------- *)
@@ -504,40 +493,6 @@ let test_pgo_replay_listscan () =
 
 (* ---------------- --metrics golden with IC counters ---------------- *)
 
-let update_dir = Sys.getenv_opt "TEA_GOLDEN_UPDATE"
-
-let golden_root =
-  if Sys.file_exists "goldens" then "goldens"
-  else Filename.concat "test" "goldens"
-
-let check_golden_file name actual =
-  match update_dir with
-  | Some dir ->
-      let path = Filename.concat dir name in
-      let oc = open_out_bin path in
-      output_string oc actual;
-      close_out oc;
-      Printf.printf "updated %s (%d bytes)\n%!" path (String.length actual)
-  | None ->
-      let path = Filename.concat golden_root name in
-      let expected =
-        try
-          let ic = open_in_bin path in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        with Sys_error _ ->
-          Alcotest.failf
-            "missing golden %s - regenerate with TEA_GOLDEN_UPDATE" path
-      in
-      if expected <> actual then begin
-        let got = Filename.temp_file "tea_golden" ".got" in
-        let oc = open_out_bin got in
-        output_string oc actual;
-        close_out oc;
-        Alcotest.failf "golden mismatch for %s (actual output in %s)" name got
-      end
-
 (* The text dump `tea_tool replay micro:listscan --engine=packed --pgo
    --metrics` produces: the flat profiling replay and the repacked replay
    back to back, so the snapshot carries the packed.ic_hit/ic_miss split
@@ -560,7 +515,7 @@ let test_metrics_repack_golden () =
         in
         Probe.uninstall ())
   in
-  check_golden_file "metrics_repack_listscan.txt"
+  Support.check_golden_file "metrics_repack_listscan.txt"
     (Tea_report.Stats.render ~title:"telemetry" snap)
 
 let () =

@@ -571,6 +571,36 @@ let test_daemon_client_module () =
   check Alcotest.int "one completed" 1 (Server.completed srv);
   check Alcotest.int "one rejected" 1 (Server.disconnected srv)
 
+let test_daemon_asid_cap () =
+  (* one Switch + Block per asid: a session may replay up to
+     max_session_asids address spaces; one more gets an error reply and
+     leaves the fleet untouched *)
+  let stream n =
+    bytes_of_events
+      (List.concat
+         (List.init n (fun a ->
+              [ Pc_trace.Switch { asid = a + 1 };
+                Pc_trace.Block { start = 0x100; insns = 1 } ])))
+  in
+  let image = fixture_packed () in
+  let srv = Server.create ~jobs:1 ~image (Frame.Unix_sock (sock_path ())) in
+  Fun.protect ~finally:(fun () -> Server.close srv) @@ fun () ->
+  let driver = Domain.spawn (fun () -> Server.run ~until_sessions:2 srv) in
+  let at_cap = stream Server.max_session_asids in
+  let p = Client.replay_string (Server.addr srv) at_cap in
+  check profile "at the cap: replayed" (offline_of_bytes image at_cap) p;
+  (match
+     Client.replay_string (Server.addr srv)
+       (stream (Server.max_session_asids + 1))
+   with
+  | _ -> Alcotest.fail "a session past the asid cap must be rejected"
+  | exception Client.Server_error _ -> ());
+  Domain.join driver;
+  check Alcotest.int "one completed" 1 (Server.completed srv);
+  check Alcotest.int "one rejected" 1 (Server.disconnected srv);
+  check profile "fleet holds only the capped session" p
+    (Server.fleet_profile srv)
+
 let prop_daemon_random_streams =
   (* satellite 4's differential: random event streams through concurrent
      sessions vs the sequential offline merge, cycling jobs 1/2/4 *)
@@ -618,6 +648,7 @@ let () =
           Alcotest.test_case "disconnect isolation" `Quick
             test_daemon_disconnect_isolation;
           Alcotest.test_case "client module" `Quick test_daemon_client_module;
+          Alcotest.test_case "asid cap per session" `Quick test_daemon_asid_cap;
           qtest prop_daemon_random_streams;
         ] );
     ]

@@ -198,39 +198,6 @@ let test_span_unbalanced_detected () =
 
 (* ---------------- --metrics golden ---------------- *)
 
-let update_dir = Sys.getenv_opt "TEA_GOLDEN_UPDATE"
-
-let golden_root =
-  if Sys.file_exists "goldens" then "goldens" else Filename.concat "test" "goldens"
-
-let check_golden_file name actual =
-  match update_dir with
-  | Some dir ->
-      let path = Filename.concat dir name in
-      let oc = open_out_bin path in
-      output_string oc actual;
-      close_out oc;
-      Printf.printf "updated %s (%d bytes)\n%!" path (String.length actual)
-  | None ->
-      let path = Filename.concat golden_root name in
-      let expected =
-        try
-          let ic = open_in_bin path in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        with Sys_error _ ->
-          Alcotest.failf
-            "missing golden %s - regenerate with TEA_GOLDEN_UPDATE" path
-      in
-      if expected <> actual then begin
-        let got = Filename.temp_file "tea_golden" ".got" in
-        let oc = open_out_bin got in
-        output_string oc actual;
-        close_out oc;
-        Alcotest.failf "golden mismatch for %s (actual output in %s)" name got
-      end
-
 (* The text dump `tea_tool replay micro:listscan --metrics` produces:
    record under the DBT, replay through the Pin-like frontend, render the
    merged probe snapshot. Every counter on that path is simulated-time or
@@ -248,7 +215,7 @@ let test_metrics_golden () =
         let _ = Tea_pinsim.Pintool_replay.replay ~traces image in
         Probe.uninstall ())
   in
-  check_golden_file "metrics_listscan.txt"
+  Support.check_golden_file "metrics_listscan.txt"
     (Tea_report.Stats.render ~title:"telemetry" snap)
 
 let () =
