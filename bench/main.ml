@@ -2,12 +2,18 @@
    (default mode) and runs Bechamel microbenchmarks of the operations each
    table stresses (mode "micro").
 
+   The trajectory modes (repack, fuse, compile, scenario, retune,
+   observe, telemetry, parallel) each write a stamped BENCH_<mode>.json
+   through {!Harness} and exit 1 on a failed gate.
+
    Usage:
      dune exec bench/main.exe                 # all 26 benchmarks, Tables 1-4
      dune exec bench/main.exe -- quick        # 8-benchmark subset
      dune exec bench/main.exe -- micro        # Bechamel microbenchmarks
-     dune exec bench/main.exe -- table1 ...   # a single table *)
+     dune exec bench/main.exe -- table1 ...   # a single table
+     dune exec bench/main.exe -- repack --smoke   # a trajectory, small *)
 
+open Harness
 module Experiments = Tea_report.Experiments
 
 let quick_set =
@@ -15,8 +21,6 @@ let quick_set =
     "171.swim"; "172.mgrid"; "177.mesa"; "164.gzip"; "176.gcc"; "181.mcf";
     "253.perlbmk"; "256.bzip2";
   ]
-
-let progress fmt = Printf.eprintf (fmt ^^ "\n%!")
 
 (* --quiet suppresses the per-domain pool counter dumps on stderr. *)
 let quiet = ref false
@@ -148,91 +152,12 @@ let run_micro () =
         ols)
     (benchmarks ())
 
-(* Head-to-head replay throughput: the packed engine vs the three Table 4
-   reference configurations on the list-scan micro's full PC stream. The
-   ISSUE target is packed >= 5x the Global/Local reference engine. *)
-let run_packed_compare () =
-  let image = Tea_workloads.Micro.list_scan () in
-  let strategy = Option.get (Tea_traces.Registry.by_name "mret") in
-  let dbt = Tea_dbt.Stardbt.record ~strategy image in
-  let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-  let auto = Tea_core.Builder.build traces in
-  (* Capture the block stream once and decode it once: both engines replay
-     the identical pre-decoded (starts, insns) arrays. *)
-  let path = Filename.temp_file "tea_bench" ".trc" in
-  let n_blocks = Tea_pinsim.Trace_capture.record image path in
-  let starts = Array.make n_blocks 0 and insns = Array.make n_blocks 0 in
-  let i = ref 0 in
-  Tea_core.Pc_trace.fold path () (fun () ~start ~insns:n ->
-      starts.(!i) <- start;
-      insns.(!i) <- n;
-      incr i);
-  Sys.remove path;
-  progress "[bench] packed head-to-head: %d blocks from micro:listscan" n_blocks;
-  let time_replay mk_rep =
-    (* best of 5, one warmup *)
-    let best = ref infinity in
-    let last = ref None in
-    for round = 0 to 5 do
-      let rep = mk_rep () in
-      let t0 = Unix.gettimeofday () in
-      Tea_core.Replayer.feed_run rep ~insns starts ~len:n_blocks;
-      let dt = Unix.gettimeofday () -. t0 in
-      if round > 0 && dt < !best then best := dt;
-      last := Some rep
-    done;
-    (!best, Option.get !last)
-  in
-  let reference name config =
-    let dt, rep =
-      time_replay (fun () ->
-          Tea_core.Replayer.create (Tea_core.Transition.create config auto))
-    in
-    (name, dt, rep)
-  in
-  let packed_dt, packed_rep =
-    time_replay (fun () ->
-        Tea_core.Replayer.create_packed (Tea_core.Packed.freeze auto))
-  in
-  let rows =
-    [
-      reference "no-global/local" Tea_core.Transition.config_no_global_local;
-      reference "global/no-local" Tea_core.Transition.config_global_no_local;
-      reference "global/local" Tea_core.Transition.config_global_local;
-      ("packed", packed_dt, packed_rep);
-    ]
-  in
-  List.iter
-    (fun (name, dt, rep) ->
-      Printf.printf "%-16s %8.1f ns/block  (coverage %.1f%%, %d enters)\n" name
-        (1e9 *. dt /. float_of_int n_blocks)
-        (100.0 *. Tea_core.Replayer.coverage rep)
-        (Tea_core.Replayer.trace_enters rep))
-    rows;
-  let gl_dt =
-    let _, dt, _ = List.nth rows 2 in
-    dt
-  in
-  Printf.printf "packed speedup vs global/local: %.1fx (target >= 5x)\n"
-    (gl_dt /. packed_dt);
-  (* the engines must agree bit-for-bit on what they replayed *)
-  let gl_rep = match List.nth rows 2 with _, _, r -> r in
-  if
-    Tea_core.Replayer.coverage gl_rep <> Tea_core.Replayer.coverage packed_rep
-    || Tea_core.Replayer.trace_enters gl_rep
-       <> Tea_core.Replayer.trace_enters packed_rep
-    || Tea_core.Replayer.tbb_counts gl_rep
-       <> Tea_core.Replayer.tbb_counts packed_rep
-  then begin
-    prerr_endline "[bench] ERROR: packed and reference engines disagree";
-    exit 1
-  end
 
 (* The parallel driver, measured: the full table sweep at --jobs 1/2/4
    (asserting byte-identical tables), then the sharded PC-trace replay on
    a captured stream (asserting profile equality). Speedup is bounded by
    the machine's cores; the byte-identity checks hold everywhere. *)
-let run_parallel_compare ~benchmarks =
+let run_parallel_compare ~smoke ~benchmarks =
   let module Pool = Tea_parallel.Pool in
   (* warm the generated-image cache so the sequential baseline doesn't
      pay one-time generation the parallel runs then get for free *)
@@ -252,80 +177,78 @@ let run_parallel_compare ~benchmarks =
         Experiments.render_table4 (Experiments.table4 ?pool benches);
       ]
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   progress "[bench] parallel table sweep: %d benchmarks, jobs 1 vs 2 vs 4..."
     (List.length benchmarks);
   let seq_out, seq_dt = time (fun () -> sweep None) in
   Printf.printf "table sweep, jobs 1: %6.1fs (baseline)\n%!" seq_dt;
-  List.iter
-    (fun jobs ->
-      let out, dt =
-        time (fun () ->
-            Pool.with_pool ~jobs (fun pool ->
-                let out = sweep (Some pool) in
-                if not !quiet then
-                  prerr_string
-                    (Tea_report.Stats.render ~title:"pool domains"
-                       (Pool.metrics_snapshot pool));
-                out))
-      in
-      if out <> seq_out then begin
-        prerr_endline "[bench] ERROR: parallel sweep differs from sequential";
-        exit 1
-      end;
-      Printf.printf "table sweep, jobs %d: %6.1fs  speedup %.2fx  (byte-identical)\n%!"
-        jobs dt (seq_dt /. dt))
-    [ 2; 4 ];
+  let sweep_rows =
+    List.map
+      (fun jobs ->
+        let out, dt =
+          time (fun () ->
+              Pool.with_pool ~jobs (fun pool ->
+                  let out = sweep (Some pool) in
+                  if not !quiet then
+                    prerr_string
+                      (Tea_report.Stats.render ~title:"pool domains"
+                         (Pool.metrics_snapshot pool));
+                  out))
+        in
+        gate (out = seq_out) "parallel sweep differs from sequential";
+        Printf.printf
+          "table sweep, jobs %d: %6.1fs  speedup %.2fx  (byte-identical)\n%!"
+          jobs dt (seq_dt /. dt);
+        Obj [ ("jobs", Int jobs); ("seconds", f2 dt); ("speedup", f3 (seq_dt /. dt)) ])
+      [ 2; 4 ]
+  in
   (* sharded offline replay on a real captured stream *)
-  let image = Tea_workloads.Micro.list_scan () in
-  let strategy = Option.get (Tea_traces.Registry.by_name "mret") in
-  let dbt = Tea_dbt.Stardbt.record ~strategy image in
-  let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-  let packed = Tea_core.Packed.freeze (Tea_core.Builder.build traces) in
-  let path = Filename.temp_file "tea_bench" ".trc" in
-  let n_blocks = Tea_pinsim.Trace_capture.record image path in
-  let starts, insns, len = Tea_parallel.Shard.load_pc_trace path in
-  Sys.remove path;
-  progress "[bench] sharded pc-trace replay: %d blocks from micro:listscan"
-    n_blocks;
+  let fx = prepare "micro:listscan" in
+  let len = fx.len in
+  progress "[bench] sharded pc-trace replay: %d blocks from micro:listscan" len;
   let replay_at jobs =
     Pool.with_pool ~jobs (fun pool ->
-        (* best of 5, one warmup *)
-        let best = ref infinity and last = ref None in
-        for round = 0 to 5 do
-          let p, dt =
-            time (fun () ->
-                Tea_parallel.Shard.replay_arrays pool packed ~insns starts ~len)
-          in
-          if round > 0 && dt < !best then best := dt;
-          last := Some p
-        done;
-        (Option.get !last, !best))
+        let last = ref None in
+        let best =
+          best_of ~rounds:5 (fun () ->
+              let p, dt =
+                time (fun () ->
+                    Tea_parallel.Shard.replay_arrays pool fx.flat
+                      ~insns:fx.insns fx.starts ~len)
+              in
+              last := Some p;
+              dt)
+        in
+        (Option.get !last, best))
   in
   let seq_profile, seq_replay_dt = replay_at 1 in
-  List.iter
-    (fun jobs ->
-      let profile, dt = replay_at jobs in
-      if not (Tea_parallel.Profile.equal profile seq_profile) then begin
-        prerr_endline "[bench] ERROR: sharded replay profile differs";
-        exit 1
-      end;
-      Printf.printf
-        "replay, jobs %d: %8.1f ns/block  %.1f Mcycles simulated  speedup \
-         %.2fx  (profile identical)\n"
-        jobs
-        (1e9 *. dt /. float_of_int len)
-        (float_of_int profile.Tea_parallel.Profile.cycles /. 1e6)
-        (seq_replay_dt /. dt))
-    [ 1; 2; 4 ];
+  let replay_rows =
+    List.map
+      (fun jobs ->
+        let profile, dt = replay_at jobs in
+        gate
+          (Tea_parallel.Profile.equal profile seq_profile)
+          "sharded replay profile differs";
+        let mcycles = float_of_int profile.Tea_parallel.Profile.cycles /. 1e6 in
+        Printf.printf
+          "replay, jobs %d: %8.1f ns/block  %.1f Mcycles simulated  speedup \
+           %.2fx  (profile identical)\n"
+          jobs (ns_per ~reps:1 len dt) mcycles (seq_replay_dt /. dt);
+        Obj
+          [ ("jobs", Int jobs); ("ns_per_block", f2 (ns_per ~reps:1 len dt));
+            ("sim_mcycles", f3 mcycles); ("speedup", f3 (seq_replay_dt /. dt)) ])
+      [ 1; 2; 4 ]
+  in
   Printf.printf
     "note: wall-clock speedup is bounded by available cores (this machine \
      recommends %d domains)\n"
-    (Domain.recommended_domain_count ())
+    (Domain.recommended_domain_count ());
+  write "parallel" ~smoke
+    [ ("benchmarks", Arr (List.map (fun b -> Str b) benchmarks));
+      ("sweep_jobs1_seconds", f2 seq_dt);
+      ("sweep", Arr sweep_rows);
+      ("replay_blocks", Int len);
+      ("replay", Arr replay_rows) ]
+
 
 let run_ablations () =
   progress "[bench] ablation: selection strategies (incl. MFET)...";
@@ -391,6 +314,7 @@ let run_extensions () =
         "expected cycles recovered by optimizing swim's traces: %d (of %d native)\n"
         total (Tea_pinsim.Pin.native_cycles image))
 
+
 (* ---- telemetry overhead gate ----
 
    The probes compiled into the hot paths must cost nothing when nothing
@@ -400,56 +324,20 @@ let run_extensions () =
    with telemetry disabled must agree within 2% (any systematic probe
    cost would show up as much more than scheduler noise on this loop),
    and the telemetry-enabled series is reported alongside for scale. *)
-let run_telemetry () =
-  let image = Tea_workloads.Micro.list_scan () in
-  let strategy = Option.get (Tea_traces.Registry.by_name "mret") in
-  let dbt = Tea_dbt.Stardbt.record ~strategy image in
-  let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-  let packed = Tea_core.Packed.freeze (Tea_core.Builder.build traces) in
-  let path = Filename.temp_file "tea_bench" ".trc" in
-  let n_blocks = Tea_pinsim.Trace_capture.record image path in
-  let starts, insns, len = Tea_parallel.Shard.load_pc_trace path in
-  Sys.remove path;
-  progress "[bench] telemetry overhead gate: %d blocks from micro:listscan"
-    n_blocks;
+let run_telemetry ~smoke =
+  let fx = prepare "micro:listscan" in
+  let len = fx.len in
+  progress "[bench] telemetry overhead gate: %d blocks from micro:listscan" len;
   (* one replay of the stream is ~100us — far too short to time against
      gettimeofday noise, so each sample times [reps] back-to-back replays
      (tens of ms) and a series keeps the best of 8 samples plus a warmup *)
   let reps = 100 in
-  let ns_per_block dt = 1e9 *. dt /. float_of_int (reps * len) in
-  let sample () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      let rep = Tea_core.Replayer.create_packed packed in
-      Tea_core.Replayer.feed_run rep ~insns starts ~len
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let series () =
-    let best = ref infinity in
-    for round = 0 to 8 do
-      let dt = sample () in
-      if round > 0 && dt < !best then best := dt
-    done;
-    !best
-  in
+  let sample = repeat reps (fun () -> ignore (replay fx fx.flat)) in
   (* the two disabled series are interleaved sample-by-sample so slow
      machine drift (frequency scaling, neighbours) hits both equally;
      what remains is per-sample noise, which best-of-8 suppresses *)
-  let disabled_pair () =
-    let best_a = ref infinity and best_b = ref infinity in
-    for round = 0 to 8 do
-      let a = sample () in
-      let b = sample () in
-      if round > 0 then begin
-        if a < !best_a then best_a := a;
-        if b < !best_b then best_b := b
-      end
-    done;
-    (!best_a, !best_b)
-  in
   let rec measure attempts =
-    let a, b = disabled_pair () in
+    let a, b = interleaved ~rounds:8 sample sample in
     let drift = abs_float (a -. b) /. min a b in
     if drift <= 0.02 || attempts <= 1 then (a, b, drift)
     else begin
@@ -459,34 +347,59 @@ let run_telemetry () =
     end
   in
   let a, b, drift = measure 3 in
+  let ns = ns_per ~reps len in
   Printf.printf
     "telemetry disabled: %8.1f ns/block vs %8.1f ns/block  (drift %.2f%%, \
      gate 2%%)\n"
-    (ns_per_block a) (ns_per_block b) (100.0 *. drift);
-  if drift > 0.02 then begin
-    prerr_endline
-      "[bench] ERROR: disabled-telemetry replay drifts more than 2% — the \
-       no-op probe path is not free";
-    exit 1
-  end;
+    (ns a) (ns b) (100.0 *. drift);
+  gate (drift <= 0.02)
+    "disabled-telemetry replay drifts more than 2%% — the no-op probe path \
+     is not free";
   Tea_telemetry.Probe.install ();
-  let e = series () in
+  let e = best_of ~rounds:8 sample in
   let snap = Tea_telemetry.Probe.uninstall () in
+  let overhead = 100.0 *. ((e /. min a b) -. 1.0) in
   Printf.printf "telemetry enabled:  %8.1f ns/block  (+%.1f%% vs best disabled)\n"
-    (ns_per_block e)
-    (100.0 *. ((e /. min a b) -. 1.0));
+    (ns e) overhead;
   let steps =
-    match
-      List.assoc_opt "replayer.steps" snap.Tea_telemetry.Metrics.s_counters
-    with
-    | Some n -> n
-    | None -> 0
+    Option.value ~default:0
+      (Tea_telemetry.Metrics.find_counter snap "replayer.steps")
   in
   Printf.printf "probe counters collected while enabled: replayer.steps=%d\n"
     steps;
-  if steps <> 9 * reps * len then begin
-    prerr_endline "[bench] ERROR: enabled-telemetry run missed replay steps";
-    exit 1
+  gate (steps = 9 * reps * len) "enabled-telemetry run missed replay steps";
+  write "telemetry" ~smoke
+    [ ("blocks", Int len); ("reps", Int reps);
+      ("disabled_ns_per_block", Arr [ f2 (ns a); f2 (ns b) ]);
+      ("drift_pct", f2 (100.0 *. drift)); ("drift_gate_pct", f2 2.0);
+      ("enabled_ns_per_block", f2 (ns e)); ("enabled_overhead_pct", f2 overhead);
+      ("replayer_steps", Int steps) ]
+
+(* The workloads the replay trajectories sweep: the four hot-loop micros
+   behind the loop-scoped geomeans, then the SPEC set; two in smoke. *)
+let sweep_names ~smoke =
+  if smoke then [ "micro:listscan"; "181.mcf" ]
+  else List.map fst micro_set @ Tea_workloads.Spec2000.names
+
+let geomean = Tea_report.Stats.geomean
+
+let slowest = List.fold_left min infinity
+
+(* Share of [img]'s replay steps handled inside fused chains, from the
+   probe counters (0 when the harness itself runs under
+   --telemetry/--metrics — the probe set is then owned by the driver). *)
+let fused_fraction fx img =
+  if Tea_telemetry.Probe.enabled () then 0.0
+  else begin
+    Tea_telemetry.Probe.install ();
+    ignore (replay fx img);
+    let snap = Tea_telemetry.Probe.uninstall () in
+    let c k =
+      Option.value ~default:0 (Tea_telemetry.Metrics.find_counter snap k)
+    in
+    let steps = c "replayer.steps" in
+    if steps = 0 then 0.0
+    else float_of_int (c "packed.fused_steps") /. float_of_int steps
   end
 
 (* ---- profile-guided repacking: the BENCH_repack.json trajectory ----
@@ -494,11 +407,10 @@ let run_telemetry () =
    For every workload: record traces, freeze the flat image, capture the
    PC stream once, collect a profile on that stream, repack, then time
    flat vs repacked replay of the identical stream. Two hard gates per
-   workload (exit 1, not report lines): the TBB mappings must be
-   byte-identical, and the repacked image must never charge more
-   simulated cycles than the flat one on its own profiling stream — the
-   per-state argmin always has the source layout as a candidate, so a
-   violation is a bug, not a tuning miss.
+   workload: the TBB mappings must be byte-identical, and the repacked
+   image must never charge more simulated cycles than the flat one on
+   its own profiling stream — the per-state argmin always has the source
+   layout as a candidate, so a violation is a bug, not a tuning miss.
 
    Traces are recorded with the condition-tree strategy: MRET superblocks
    give every state at most one in-trace successor, so there is no edge
@@ -506,233 +418,111 @@ let run_telemetry () =
    traces produce the branching spans (2-4 edges) whose dispatch cost the
    pass exists to cut. Wall-clock numbers are machine-dependent and are
    reported, not gated. *)
-
-let repack_micro_set =
-  (* the listscan-class hot-loop workloads behind the geomean gate *)
-  [
-    ("micro:listscan", fun () -> Tea_workloads.Micro.list_scan ());
-    ("micro:copy", fun () -> Tea_workloads.Micro.copy_loop ());
-    ("micro:nested", fun () -> Tea_workloads.Micro.nested_loop ());
-    ("micro:branchy", fun () -> Tea_workloads.Micro.branchy_loop ());
-  ]
-
-let repack_image name =
-  match List.assoc_opt name repack_micro_set with
-  | Some f -> f ()
-  | None -> (
-      match Tea_workloads.Spec2000.by_name name with
-      | Some p -> Tea_workloads.Spec2000.image p
-      | None -> invalid_arg ("bench repack: unknown workload " ^ name))
-
-type repack_row = {
-  rr_name : string;
-  rr_hot : bool;
-  rr_blocks : int;
-  rr_base_ns : float;  (** full replay, ns/block, flat image *)
-  rr_base_step_ns : float;  (** bare {!Tea_core.Packed.step}, ns/step *)
-  rr_base_cycles : int;
-  rr_tuned_ns : float;
-  rr_tuned_step_ns : float;
-  rr_tuned_cycles : int;
-  rr_ic_rate : float;
-  rr_hot_edges : int;
-  rr_moved : int;
-}
-
-let run_repack_one ~strategy name =
-  let image = repack_image name in
-  let dbt = Tea_dbt.Stardbt.record ~strategy image in
-  let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-  let flat = Tea_core.Packed.freeze (Tea_core.Builder.build traces) in
-  let path = Filename.temp_file "tea_bench" ".trc" in
-  let _ = Tea_pinsim.Trace_capture.record image path in
-  let starts, insns, len = Tea_parallel.Shard.load_pc_trace path in
-  Sys.remove path;
-  let profile = Tea_opt.Repack.collect flat starts ~len in
-  let tuned = Tea_opt.Repack.repack flat profile in
-  let run_once img =
-    let rep = Tea_core.Replayer.create_packed img in
-    Tea_core.Replayer.feed_run rep ~insns starts ~len;
-    rep
-  in
-  let base_rep = run_once flat and tuned_rep = run_once tuned in
-  if
-    Tea_core.Replayer.tbb_counts base_rep
-    <> Tea_core.Replayer.tbb_counts tuned_rep
-  then begin
-    Printf.eprintf "[bench] ERROR: %s: repacked TBB mapping differs\n" name;
-    exit 1
-  end;
+let run_repack_one name =
+  let fx = prepare ~strategy:"ctt" name in
+  let flat = fx.flat and tuned = Lazy.force fx.repacked and len = fx.len in
+  let base_rep = replay fx flat and tuned_rep = replay fx tuned in
+  gate
+    (Tea_core.Replayer.tbb_counts base_rep = Tea_core.Replayer.tbb_counts tuned_rep)
+    "%s: repacked TBB mapping differs" name;
   let base_cycles = Tea_core.Replayer.cycles base_rep in
   let tuned_cycles = Tea_core.Replayer.cycles tuned_rep in
-  if tuned_cycles > base_cycles then begin
-    Printf.eprintf
-      "[bench] ERROR: %s: repacked charges more simulated cycles (%d > %d)\n"
-      name tuned_cycles base_cycles;
-    exit 1
-  end;
-  (* One replay of a short stream is microseconds — far below timer
-     resolution — so each sample times [reps] back-to-back replays
-     (milliseconds). The two layouts are sampled interleaved so machine
-     drift hits both equally; best of 5 rounds after one warmup. Two
-     series per layout: the full replay (batch loop plus per-block
-     accounting, the end-to-end number) and the bare transition function
-     ({!Tea_core.Packed.step} on the same stream, the dispatch cost the
-     pass actually targets — the per-block replay accounting is identical
-     either way and dilutes the ratio on tiny automata). *)
-  let reps = 1 + (2_000_000 / max 1 len) in
-  let sample img =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      let rep = Tea_core.Replayer.create_packed img in
-      Tea_core.Replayer.feed_run rep ~insns starts ~len
-    done;
-    Unix.gettimeofday () -. t0
-  in
+  gate (tuned_cycles <= base_cycles)
+    "%s: repacked charges more simulated cycles (%d > %d)" name tuned_cycles
+    base_cycles;
+  gate (tuned_cycles > 0) "%s: replay charged no simulated cycles" name;
+  (* Two series per layout, each sampled interleaved flat/tuned: the full
+     replay (batch loop plus per-block accounting, the end-to-end number)
+     and the bare transition function ({!Tea_core.Packed.step} on the
+     same stream, the dispatch cost the pass actually targets — the
+     per-block replay accounting is identical either way and dilutes the
+     ratio on tiny automata). *)
+  let reps = reps_for ~budget:2_000_000 len in
+  let sample img = repeat reps (fun () -> ignore (replay fx img)) in
   let sample_step img =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      let s = ref Tea_core.Automaton.nte in
-      for i = 0 to len - 1 do
-        s := Tea_core.Packed.step img !s (Array.unsafe_get starts i)
-      done;
-      ignore (Sys.opaque_identity !s)
-    done;
-    Unix.gettimeofday () -. t0
+    repeat reps (fun () ->
+        let s = ref Tea_core.Automaton.nte in
+        for i = 0 to len - 1 do
+          s := Tea_core.Packed.step img !s (Array.unsafe_get fx.starts i)
+        done;
+        ignore (Sys.opaque_identity !s))
   in
-  let interleaved f =
-    let best_b = ref infinity and best_t = ref infinity in
-    for round = 0 to 5 do
-      let b = f flat in
-      let t = f tuned in
-      if round > 0 then begin
-        if b < !best_b then best_b := b;
-        if t < !best_t then best_t := t
-      end
-    done;
-    (!best_b, !best_t)
+  let ns = ns_per ~reps len in
+  let base_ns, tuned_ns = interleaved ~rounds:5 (sample flat) (sample tuned) in
+  let base_step, tuned_step =
+    interleaved ~rounds:5 (sample_step flat) (sample_step tuned)
   in
-  let best_b, best_t = interleaved sample in
-  let step_b, step_t = interleaved sample_step in
-  let ns dt = 1e9 *. dt /. float_of_int (reps * len) in
+  let base_ns = ns base_ns and tuned_ns = ns tuned_ns in
+  let base_step = ns base_step and tuned_step = ns tuned_step in
   let hits = Tea_core.Packed.ic_hits tuned
   and misses = Tea_core.Packed.ic_misses tuned in
-  {
-    rr_name = name;
-    rr_hot = List.mem_assoc name repack_micro_set;
-    rr_blocks = len;
-    rr_base_ns = ns best_b;
-    rr_base_step_ns = ns step_b;
-    rr_base_cycles = base_cycles;
-    rr_tuned_ns = ns best_t;
-    rr_tuned_step_ns = ns step_t;
-    rr_tuned_cycles = tuned_cycles;
-    rr_ic_rate =
-      (if hits + misses = 0 then 0.0
-       else float_of_int hits /. float_of_int (hits + misses));
-    rr_hot_edges = Tea_core.Packed.hot_edges tuned;
-    rr_moved = Tea_opt.Repack.moved_states tuned;
-  }
-
-let repack_json ~smoke ~strategy rows ~geo_replay ~geo_step ~geo_hot
-    ~geo_cycles =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.bprintf buf fmt in
-  add "{\n";
-  add "  \"bench\": \"repack\",\n";
-  add "  \"smoke\": %b,\n" smoke;
-  add "  \"strategy\": %S,\n" strategy;
-  add "  \"hot_prefix_cap\": %d,\n" Tea_opt.Repack.default_hot_prefix;
-  add "  \"workloads\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      add "    {\"name\": %S, \"hot\": %b, \"blocks\": %d,\n" r.rr_name
-        r.rr_hot r.rr_blocks;
-      add
-        "     \"baseline\": {\"replay_ns_per_block\": %.2f, \"step_ns\": \
-         %.2f, \"sim_cycles\": %d},\n"
-        r.rr_base_ns r.rr_base_step_ns r.rr_base_cycles;
-      add
-        "     \"repacked\": {\"replay_ns_per_block\": %.2f, \"step_ns\": \
-         %.2f, \"sim_cycles\": %d, \"ic_hit_rate\": %.4f, \"hot_edges\": \
-         %d, \"moved_states\": %d},\n"
-        r.rr_tuned_ns r.rr_tuned_step_ns r.rr_tuned_cycles r.rr_ic_rate
-        r.rr_hot_edges r.rr_moved;
-      add
-        "     \"replay_speedup\": %.3f, \"step_speedup\": %.3f, \
-         \"cycle_ratio\": %.4f}%s\n"
-        (r.rr_base_ns /. r.rr_tuned_ns)
-        (r.rr_base_step_ns /. r.rr_tuned_step_ns)
-        (float_of_int r.rr_tuned_cycles /. float_of_int r.rr_base_cycles)
-        (if i = n - 1 then "" else ","))
-    rows;
-  add "  ],\n";
-  add "  \"geomean_replay_speedup_all\": %.3f,\n" geo_replay;
-  add "  \"geomean_step_speedup_all\": %.3f,\n" geo_step;
-  add "  \"geomean_step_speedup_hot\": %.3f,\n" geo_hot;
-  add "  \"geomean_cycle_ratio\": %.4f\n" geo_cycles;
-  Buffer.contents buf ^ "}\n"
+  let ic_rate =
+    if hits + misses = 0 then 0.0
+    else float_of_int hits /. float_of_int (hits + misses)
+  in
+  let replay_speedup = base_ns /. tuned_ns and step_speedup = base_step /. tuned_step in
+  let cycle_ratio = float_of_int tuned_cycles /. float_of_int base_cycles in
+  let hot_edges = Tea_core.Packed.hot_edges tuned in
+  let moved = Tea_opt.Repack.moved_states tuned in
+  gate (base_ns > 0. && tuned_ns > 0. && base_step > 0. && tuned_step > 0.)
+    "%s: a replay timed at 0 ns" name;
+  Printf.printf
+    "%-16s replay %5.1f -> %5.1f ns (%.2fx)  step %5.1f -> %5.1f ns \
+     (%.2fx)  cycles %.3fx  ic %5.1f%%  %d hot edges, %d moved\n%!"
+    name base_ns tuned_ns replay_speedup base_step tuned_step step_speedup
+    cycle_ratio (100.0 *. ic_rate) hot_edges moved;
+  let hot = List.mem_assoc name micro_set in
+  ( Obj
+      [ ("name", Str name); ("hot", Bool hot); ("blocks", Int len);
+        ( "baseline",
+          Obj
+            [ ("replay_ns_per_block", f2 base_ns); ("step_ns", f2 base_step);
+              ("sim_cycles", Int base_cycles) ] );
+        ( "repacked",
+          Obj
+            [ ("replay_ns_per_block", f2 tuned_ns); ("step_ns", f2 tuned_step);
+              ("sim_cycles", Int tuned_cycles); ("ic_hit_rate", f4 ic_rate);
+              ("hot_edges", Int hot_edges); ("moved_states", Int moved) ] );
+        ("replay_speedup", f3 replay_speedup); ("step_speedup", f3 step_speedup);
+        ("cycle_ratio", f4 cycle_ratio) ],
+    (hot, replay_speedup, step_speedup, cycle_ratio) )
 
 let run_repack ~smoke =
-  let strategy_name = "ctt" in
-  let strategy = Option.get (Tea_traces.Registry.by_name strategy_name) in
-  let names =
-    if smoke then [ "micro:listscan"; "181.mcf" ]
-    else List.map fst repack_micro_set @ Tea_workloads.Spec2000.names
-  in
-  progress "[bench] repack: %d workloads, %s traces, profile-guided layout..."
-    (List.length names) strategy_name;
-  let rows =
-    List.map
-      (fun name ->
-        let r = run_repack_one ~strategy name in
-        Printf.printf
-          "%-16s replay %5.1f -> %5.1f ns (%.2fx)  step %5.1f -> %5.1f ns \
-           (%.2fx)  cycles %.3fx  ic %5.1f%%  %d hot edges, %d moved\n%!"
-          r.rr_name r.rr_base_ns r.rr_tuned_ns
-          (r.rr_base_ns /. r.rr_tuned_ns)
-          r.rr_base_step_ns r.rr_tuned_step_ns
-          (r.rr_base_step_ns /. r.rr_tuned_step_ns)
-          (float_of_int r.rr_tuned_cycles /. float_of_int r.rr_base_cycles)
-          (100.0 *. r.rr_ic_rate) r.rr_hot_edges r.rr_moved;
-        r)
-      names
-  in
-  let geo f = Tea_report.Stats.geomean (List.map f rows) in
-  let step_speedup r = r.rr_base_step_ns /. r.rr_tuned_step_ns in
-  let geo_replay = geo (fun r -> r.rr_base_ns /. r.rr_tuned_ns) in
-  let geo_step = geo step_speedup in
+  let names = sweep_names ~smoke in
+  progress "[bench] repack: %d workloads, ctt traces, profile-guided layout..."
+    (List.length names);
+  let rows, stats = List.split (List.map run_repack_one names) in
+  let geo f = geomean (List.map f stats) in
+  let geo_replay = geo (fun (_, r, _, _) -> r) in
+  let geo_step = geo (fun (_, _, s, _) -> s) in
   let geo_hot =
-    Tea_report.Stats.geomean
-      (List.filter_map
-         (fun r -> if r.rr_hot then Some (step_speedup r) else None)
-         rows)
+    geomean (List.filter_map (fun (h, _, s, _) -> if h then Some s else None) stats)
   in
-  let geo_cycles =
-    geo (fun r ->
-        float_of_int r.rr_tuned_cycles /. float_of_int r.rr_base_cycles)
-  in
+  let geo_cycles = geo (fun (_, _, _, c) -> c) in
   Printf.printf
     "geomean replay speedup %.2fx; step speedup %.2fx all, %.2fx hot-loop \
      (target >= 1.2x); cycle ratio %.3fx\n"
     geo_replay geo_step geo_hot geo_cycles;
-  let json =
-    repack_json ~smoke ~strategy:strategy_name rows ~geo_replay ~geo_step
-      ~geo_hot ~geo_cycles
-  in
-  let oc = open_out "BENCH_repack.json" in
-  output_string oc json;
-  close_out oc;
-  progress "[bench] wrote BENCH_repack.json (%d workloads)" (List.length rows)
+  gate (geo_replay > 0. && geo_step > 0. && geo_hot > 0.)
+    "repack: a geomean speedup is not positive";
+  gate (geo_cycles > 0. && geo_cycles <= 1.0)
+    "repacking increased geomean simulated cycles (%.3fx)" geo_cycles;
+  write "repack" ~smoke
+    [ ("strategy", Str "ctt");
+      ("hot_prefix_cap", Int Tea_opt.Repack.default_hot_prefix);
+      ("workloads", Arr rows);
+      ("geomean_replay_speedup_all", f3 geo_replay);
+      ("geomean_step_speedup_all", f3 geo_step);
+      ("geomean_step_speedup_hot", f3 geo_hot);
+      ("geomean_cycle_ratio", f4 geo_cycles) ]
 
 (* ---- superstate fusion: the BENCH_fuse.json trajectory ----
 
    For every workload: record MRET traces (superblocks give every state at
    most one in-trace successor — the chain-rich shape fusion targets),
-   freeze, profile-repack on the captured stream (the PR 4 engine is the
-   baseline), fuse the repacked image, then time baseline vs fused replay
-   of the identical stream. One hard gate per workload (exit 1): the full
+   freeze, profile-repack on the captured stream (the repacked engine is
+   the baseline), fuse the repacked image, then time baseline vs fused
+   replay of the identical stream. One hard gate per workload: the full
    replay snapshot — per-TBB counts, coverage, enters/exits, transition
    stats and simulated cycles — must be bit-identical between the two
    engines. Fusion is a pure dispatch-cost optimization; any observable
@@ -740,437 +530,193 @@ let run_repack ~smoke =
 
    The speedup target is scoped to loop-dominated workloads: the hot-loop
    micros plus every workload whose replay stream spends >= 50% of its
-   steps inside fused chains (measured with the probe counters on one
-   extra fused run). Straight-line or cold-dominated workloads fall back
-   to the batch loop's ordinary dispatch step and are expected near
-   1.0x; they are reported and floor-checked, not geomean-gated. *)
-
-type fuse_row = {
-  fu_name : string;
-  fu_loopy : bool;
-  fu_blocks : int;
-  fu_fraction : float;  (** share of replay steps handled inside chains *)
-  fu_chains : int;
-  fu_cyclic : int;
-  fu_states : int;  (** states covered by chains *)
-  fu_base_ns : float;  (** PGO-repacked replay, ns/block *)
-  fu_fused_ns : float;
-  fu_cycles : int;  (** identical for both engines, by gate *)
-}
-
-let run_fuse_one ~strategy name =
-  let image = repack_image name in
-  let dbt = Tea_dbt.Stardbt.record ~strategy image in
-  let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-  let flat = Tea_core.Packed.freeze (Tea_core.Builder.build traces) in
-  let path = Filename.temp_file "tea_bench" ".trc" in
-  let _ = Tea_pinsim.Trace_capture.record image path in
-  let starts, insns, len = Tea_parallel.Shard.load_pc_trace path in
-  Sys.remove path;
-  (* baseline: PR 4's best engine — profile-guided repacked *)
-  let baseline =
-    Tea_opt.Repack.repack flat (Tea_opt.Repack.collect flat starts ~len)
-  in
-  (* profile-aware fusion: re-collect over the repacked layout so chain
-     selection sees this stream's continuation fractions *)
-  let profile = Tea_opt.Repack.collect baseline starts ~len in
-  let fused = Tea_opt.Fuse.fuse ~profile baseline in
-  let run_once img =
-    let rep = Tea_core.Replayer.create_packed img in
-    Tea_core.Replayer.feed_run rep ~insns starts ~len;
-    rep
-  in
-  let base_rep = run_once baseline and fused_rep = run_once fused in
-  if
-    not
-      (Tea_parallel.Profile.equal
-         (Tea_parallel.Profile.of_replayer base_rep)
-         (Tea_parallel.Profile.of_replayer fused_rep))
-  then begin
-    Printf.eprintf
-      "[bench] ERROR: %s: fused replay diverged from the repacked baseline\n"
-      name;
-    exit 1
-  end;
-  (* chain coverage of the stream, from the probe counters (skipped when
-     the harness itself runs under --telemetry/--metrics — the probe set
-     is already installed and owned by the driver) *)
-  let fraction =
-    if Tea_telemetry.Probe.enabled () then 0.0
-    else begin
-      Tea_telemetry.Probe.install ();
-      ignore (run_once fused);
-      let snap = Tea_telemetry.Probe.uninstall () in
-      let c k =
-        Option.value
-          (List.assoc_opt k snap.Tea_telemetry.Metrics.s_counters)
-          ~default:0
-      in
-      let steps = c "replayer.steps" in
-      if steps = 0 then 0.0
-      else float_of_int (c "packed.fused_steps") /. float_of_int steps
-    end
-  in
-  (* interleaved best-of-5 timing after one warmup, as in the repack
-     bench: one replay of a short stream is microseconds, so each sample
-     times [reps] back-to-back replays *)
-  let reps = 1 + (2_000_000 / max 1 len) in
-  let sample img =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      let rep = Tea_core.Replayer.create_packed img in
-      Tea_core.Replayer.feed_run rep ~insns starts ~len
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let best_b = ref infinity and best_f = ref infinity in
-  for round = 0 to 5 do
-    let b = sample baseline in
-    let f = sample fused in
-    if round > 0 then begin
-      if b < !best_b then best_b := b;
-      if f < !best_f then best_f := f
-    end
-  done;
-  let ns dt = 1e9 *. dt /. float_of_int (reps * len) in
-  {
-    fu_name = name;
-    fu_loopy = List.mem_assoc name repack_micro_set || fraction >= 0.5;
-    fu_blocks = len;
-    fu_fraction = fraction;
-    fu_chains = Tea_core.Packed.n_chains fused;
-    fu_cyclic = Tea_core.Packed.n_cyclic_chains fused;
-    fu_states = Tea_core.Packed.fused_edges fused;
-    fu_base_ns = ns !best_b;
-    fu_fused_ns = ns !best_f;
-    fu_cycles = Tea_core.Replayer.cycles fused_rep;
-  }
-
-let fuse_json ~smoke ~strategy rows ~geo_all ~geo_loopy ~floor =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.bprintf buf fmt in
-  add "{\n";
-  add "  \"bench\": \"fuse\",\n";
-  add "  \"smoke\": %b,\n" smoke;
-  add "  \"strategy\": %S,\n" strategy;
-  add "  \"min_chain\": %d,\n" Tea_opt.Fuse.default_min_chain;
-  add "  \"min_expected_run\": %.1f,\n" Tea_opt.Fuse.default_min_expected_run;
-  add "  \"min_coverage\": %.2f,\n" Tea_opt.Fuse.default_min_coverage;
-  add "  \"workloads\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      add
-        "    {\"name\": %S, \"loopy\": %b, \"blocks\": %d, \
-         \"fused_step_fraction\": %.4f,\n"
-        r.fu_name r.fu_loopy r.fu_blocks r.fu_fraction;
-      add
-        "     \"chains\": %d, \"cyclic_chains\": %d, \"fused_states\": %d, \
-         \"sim_cycles\": %d,\n"
-        r.fu_chains r.fu_cyclic r.fu_states r.fu_cycles;
-      add
-        "     \"baseline_replay_ns_per_block\": %.2f, \
-         \"fused_replay_ns_per_block\": %.2f, \"replay_speedup\": %.3f}%s\n"
-        r.fu_base_ns r.fu_fused_ns
-        (r.fu_base_ns /. r.fu_fused_ns)
-        (if i = n - 1 then "" else ","))
-    rows;
-  add "  ],\n";
-  add "  \"geomean_replay_speedup_all\": %.3f,\n" geo_all;
-  add "  \"geomean_replay_speedup_loopy\": %.3f,\n" geo_loopy;
-  add "  \"min_replay_speedup\": %.3f\n" floor;
-  Buffer.contents buf ^ "}\n"
+   steps inside fused chains. Straight-line or cold-dominated workloads
+   fall back to the batch loop's ordinary dispatch step and are expected
+   near 1.0x; they are reported and floor-checked, not geomean-gated. *)
+let run_fuse_one name =
+  let fx = prepare name in
+  let fused = Lazy.force fx.fused in
+  let baseline = Lazy.force fx.repacked in
+  let base_rep = replay fx baseline and fused_rep = replay fx fused in
+  gate
+    (Tea_parallel.Profile.equal
+       (Tea_parallel.Profile.of_replayer base_rep)
+       (Tea_parallel.Profile.of_replayer fused_rep))
+    "%s: fused replay diverged from the repacked baseline" name;
+  let fraction = fused_fraction fx fused in
+  let reps = reps_for ~budget:2_000_000 fx.len in
+  let sample img = repeat reps (fun () -> ignore (replay fx img)) in
+  let base_ns, fused_ns = interleaved ~rounds:5 (sample baseline) (sample fused) in
+  let base_ns = ns_per ~reps fx.len base_ns and fused_ns = ns_per ~reps fx.len fused_ns in
+  let loopy = List.mem_assoc name micro_set || fraction >= 0.5 in
+  let chains = Tea_core.Packed.n_chains fused in
+  let cyclic = Tea_core.Packed.n_cyclic_chains fused in
+  let states = Tea_core.Packed.fused_edges fused in
+  let cycles = Tea_core.Replayer.cycles fused_rep in
+  gate
+    (fx.len > 0 && cycles > 0 && cyclic <= chains && fraction >= 0.
+    && fraction <= 1. && base_ns > 0. && fused_ns > 0.)
+    "%s: inconsistent fuse row" name;
+  Printf.printf
+    "%-16s replay %5.1f -> %5.1f ns (%.2fx)  %d chains (%d cyclic, %d \
+     states)  %4.1f%% fused steps%s\n%!"
+    name base_ns fused_ns (base_ns /. fused_ns) chains cyclic states
+    (100.0 *. fraction)
+    (if loopy then "  [loopy]" else "");
+  ( Obj
+      [ ("name", Str name); ("loopy", Bool loopy); ("blocks", Int fx.len);
+        ("fused_step_fraction", f4 fraction); ("chains", Int chains);
+        ("cyclic_chains", Int cyclic); ("fused_states", Int states);
+        ("sim_cycles", Int cycles); ("baseline_replay_ns_per_block", f2 base_ns);
+        ("fused_replay_ns_per_block", f2 fused_ns);
+        ("replay_speedup", f3 (base_ns /. fused_ns)) ],
+    (loopy, base_ns /. fused_ns) )
 
 let run_fuse ~smoke =
-  let strategy_name = "mret" in
-  let strategy = Option.get (Tea_traces.Registry.by_name strategy_name) in
-  let names =
-    if smoke then [ "micro:listscan"; "181.mcf" ]
-    else List.map fst repack_micro_set @ Tea_workloads.Spec2000.names
-  in
-  progress "[bench] fuse: %d workloads, %s traces, superstate fusion over the repacked engine..."
-    (List.length names) strategy_name;
-  let rows =
-    List.map
-      (fun name ->
-        let r = run_fuse_one ~strategy name in
-        Printf.printf
-          "%-16s replay %5.1f -> %5.1f ns (%.2fx)  %d chains (%d cyclic, %d \
-           states)  %4.1f%% fused steps%s\n%!"
-          r.fu_name r.fu_base_ns r.fu_fused_ns
-          (r.fu_base_ns /. r.fu_fused_ns)
-          r.fu_chains r.fu_cyclic r.fu_states
-          (100.0 *. r.fu_fraction)
-          (if r.fu_loopy then "  [loopy]" else "");
-        r)
-      names
-  in
-  let speedup r = r.fu_base_ns /. r.fu_fused_ns in
-  let geo_all = Tea_report.Stats.geomean (List.map speedup rows) in
-  let loopy = List.filter (fun r -> r.fu_loopy) rows in
-  let geo_loopy =
-    Tea_report.Stats.geomean (List.map speedup (if loopy = [] then rows else loopy))
-  in
-  let floor = List.fold_left (fun m r -> min m (speedup r)) infinity rows in
+  let names = sweep_names ~smoke in
+  progress
+    "[bench] fuse: %d workloads, mret traces, superstate fusion over the \
+     repacked engine..."
+    (List.length names);
+  let rows, stats = List.split (List.map run_fuse_one names) in
+  let speedups = List.map snd stats in
+  let geo_all = geomean speedups in
+  let loopy = List.filter_map (fun (l, s) -> if l then Some s else None) stats in
+  let geo_loopy = geomean (if loopy = [] then speedups else loopy) in
+  let floor = slowest speedups in
   Printf.printf
     "geomean replay speedup: %.2fx all, %.2fx loop-dominated (target >= \
      1.3x); slowest workload %.2fx (floor 0.95x)\n"
     geo_all geo_loopy floor;
   if floor < 0.95 then
     progress "[bench] WARNING: a workload regressed below the 0.95x floor";
-  let json = fuse_json ~smoke ~strategy:strategy_name rows ~geo_all ~geo_loopy ~floor in
-  let oc = open_out "BENCH_fuse.json" in
-  output_string oc json;
-  close_out oc;
-  progress "[bench] wrote BENCH_fuse.json (%d workloads)" (List.length rows)
+  gate
+    (geo_all > 0. && geo_loopy > 0. && floor > 0.
+    && Tea_opt.Fuse.default_min_expected_run > 0.
+    && Tea_opt.Fuse.default_min_coverage > 0.
+    && Tea_opt.Fuse.default_min_coverage <= 1.)
+    "fuse: a geomean is not positive or a default gate is out of range";
+  write "fuse" ~smoke
+    [ ("strategy", Str "mret");
+      ("min_chain", Int Tea_opt.Fuse.default_min_chain);
+      ("min_expected_run", Num (1, Tea_opt.Fuse.default_min_expected_run));
+      ("min_coverage", f2 Tea_opt.Fuse.default_min_coverage);
+      ("workloads", Arr rows);
+      ("geomean_replay_speedup_all", f3 geo_all);
+      ("geomean_replay_speedup_loopy", f3 geo_loopy);
+      ("min_replay_speedup", f3 floor) ]
 
 (* ---- closure-threaded dispatch: the BENCH_compile.json trajectory ----
 
    For every workload: record condition-tree traces (branching spans are
    the dispatch shapes closure compilation specializes), freeze,
-   profile-repack and fuse on the captured stream (the PR 5+6 engine is
-   the baseline — compilation composes over both passes), compile the
-   tuned image, then time interpreted vs compiled replay of the
-   identical stream. Three hard gates per workload (exit 1): the
-   compiled TBB mapping must match the reference transition engine's on
-   the raw automaton, and the full profile and the simulated cycles must
-   be bit-identical to the interpreted tuned engine. Compilation is a
-   pure wall-clock optimization — the per-step charges are captured from
-   the same cost tables at build time, so any observable drift is a bug.
+   profile-repack and fuse on the captured stream (the baseline —
+   compilation composes over both passes), compile the tuned image, then
+   time interpreted vs compiled replay of the identical stream. Three
+   hard gates per workload: the compiled TBB mapping must match the
+   reference transition engine's on the raw automaton, and the full
+   profile and the simulated cycles must be bit-identical to the
+   interpreted tuned engine. Compilation is a pure wall-clock
+   optimization — the per-step charges are captured from the same cost
+   tables at build time, so any observable drift is a bug.
 
    The speedup target is scoped to branchy workloads: streams spending
    < 50% of their steps inside fused chains, so interpreted dispatch
    actually walks spans per step — the shape the straight-line compares
    replace. Chain-dominated streams already replay through bulk
    accounting on both engines and are floor-checked, not geomean-gated. *)
-
-type compile_row = {
-  co_name : string;
-  co_branchy : bool;  (** fused-step fraction < 0.5 — span-walk dominated *)
-  co_blocks : int;
-  co_fraction : float;  (** share of replay steps handled inside chains *)
-  co_closures : int;
-  co_fallback : int;  (** minihash-fallback states (fan-out > scan_cap) *)
-  co_chained : int;  (** fused-chain matcher closures *)
-  co_base_ns : float;  (** repacked+fused interpreted replay, ns/block *)
-  co_compiled_ns : float;
-  co_cycles : int;  (** identical across all three engines, by gate *)
-}
-
-let run_compile_one ~strategy name =
-  let image = repack_image name in
-  let dbt = Tea_dbt.Stardbt.record ~strategy image in
-  let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-  let auto = Tea_core.Builder.build traces in
-  let flat = Tea_core.Packed.freeze auto in
-  let path = Filename.temp_file "tea_bench" ".trc" in
-  let _ = Tea_pinsim.Trace_capture.record image path in
-  let starts, insns, len = Tea_parallel.Shard.load_pc_trace path in
-  Sys.remove path;
-  (* baseline: the full PR 5+6 pipeline — profile-guided repack, then
-     profile-aware fusion over the repacked layout *)
-  let repacked =
-    Tea_opt.Repack.repack flat (Tea_opt.Repack.collect flat starts ~len)
-  in
-  let profile = Tea_opt.Repack.collect repacked starts ~len in
-  let fused = Tea_opt.Fuse.fuse ~profile repacked in
-  let run_packed img =
-    let rep = Tea_core.Replayer.create_packed img in
-    Tea_core.Replayer.feed_run rep ~insns starts ~len;
-    rep
-  in
-  let base_rep = run_packed fused in
+let run_compile_one name =
+  let fx = prepare ~strategy:"ctt" name in
+  let fused = Lazy.force fx.fused in
+  let base_rep = replay fx fused in
   let compiled = Tea_opt.Compile.compile (Tea_core.Packed.dup fused) in
   let comp_rep = Tea_core.Replayer.create_compiled compiled in
-  Tea_core.Replayer.feed_run comp_rep ~insns starts ~len;
-  (* gate 1: TBB mapping vs the paper-faithful reference engine on the
-     raw automaton — compilation must not even depend on the layout *)
+  Tea_core.Replayer.feed_run comp_rep ~insns:fx.insns fx.starts ~len:fx.len;
   let ref_rep =
     Tea_core.Replayer.create
-      (Tea_core.Transition.create Tea_core.Transition.config_global_local auto)
+      (Tea_core.Transition.create Tea_core.Transition.config_global_local fx.auto)
   in
-  Tea_core.Replayer.feed_run ref_rep ~insns starts ~len;
-  if Tea_core.Replayer.tbb_counts ref_rep <> Tea_core.Replayer.tbb_counts comp_rep
-  then begin
-    Printf.eprintf
-      "[bench] ERROR: %s: compiled TBB mapping diverged from the reference \
-       engine\n"
-      name;
-    exit 1
-  end;
-  (* gates 2+3: full profile and simulated cycles vs the interpreted
-     tuned engine *)
-  if
-    not
-      (Tea_parallel.Profile.equal
-         (Tea_parallel.Profile.of_replayer base_rep)
-         (Tea_parallel.Profile.of_replayer comp_rep))
-  then begin
-    Printf.eprintf
-      "[bench] ERROR: %s: compiled replay profile diverged from the \
-       interpreted engine\n"
-      name;
-    exit 1
-  end;
-  if Tea_core.Replayer.cycles comp_rep <> Tea_core.Replayer.cycles base_rep
-  then begin
-    Printf.eprintf
-      "[bench] ERROR: %s: compiled replay charges different simulated \
-       cycles (%d <> %d)\n"
-      name
-      (Tea_core.Replayer.cycles comp_rep)
-      (Tea_core.Replayer.cycles base_rep);
-    exit 1
-  end;
-  (* chain coverage of the stream, as in the fuse bench (skipped when the
-     driver itself owns the probe set) *)
-  let fraction =
-    if Tea_telemetry.Probe.enabled () then 0.0
-    else begin
-      Tea_telemetry.Probe.install ();
-      ignore (run_packed fused);
-      let snap = Tea_telemetry.Probe.uninstall () in
-      let c k =
-        Option.value
-          (List.assoc_opt k snap.Tea_telemetry.Metrics.s_counters)
-          ~default:0
-      in
-      let steps = c "replayer.steps" in
-      if steps = 0 then 0.0
-      else float_of_int (c "packed.fused_steps") /. float_of_int steps
-    end
-  in
-  (* interleaved best-of-5 timing after one warmup; the compiled image is
-     built once outside the loop — of_packed is O(states), a one-time
-     cost amortized over the whole replay fleet, not a per-replay one *)
+  Tea_core.Replayer.feed_run ref_rep ~insns:fx.insns fx.starts ~len:fx.len;
+  gate
+    (Tea_core.Replayer.tbb_counts ref_rep = Tea_core.Replayer.tbb_counts comp_rep)
+    "%s: compiled TBB mapping diverged from the reference engine" name;
+  gate
+    (Tea_parallel.Profile.equal
+       (Tea_parallel.Profile.of_replayer base_rep)
+       (Tea_parallel.Profile.of_replayer comp_rep))
+    "%s: compiled replay profile diverged from the interpreted engine" name;
+  let cycles = Tea_core.Replayer.cycles comp_rep in
+  gate
+    (cycles = Tea_core.Replayer.cycles base_rep)
+    "%s: compiled replay charges different simulated cycles (%d <> %d)" name
+    cycles (Tea_core.Replayer.cycles base_rep);
+  let fraction = fused_fraction fx fused in
+  (* the compiled image is built once outside the timing loop — compile
+     is O(states), a one-time cost amortized over the whole replay
+     fleet, not a per-replay one *)
   let timed = Tea_opt.Compile.compile (Tea_core.Packed.dup fused) in
-  let reps = 1 + (2_000_000 / max 1 len) in
-  let sample_interp () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      let rep = Tea_core.Replayer.create_packed fused in
-      Tea_core.Replayer.feed_run rep ~insns starts ~len
-    done;
-    Unix.gettimeofday () -. t0
+  let reps = reps_for ~budget:2_000_000 fx.len in
+  let interp_ns, comp_ns =
+    interleaved ~rounds:5
+      (repeat reps (fun () -> ignore (replay fx fused)))
+      (repeat reps (fun () ->
+           let rep = Tea_core.Replayer.create_compiled timed in
+           Tea_core.Replayer.feed_run rep ~insns:fx.insns fx.starts ~len:fx.len))
   in
-  let sample_compiled () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      let rep = Tea_core.Replayer.create_compiled timed in
-      Tea_core.Replayer.feed_run rep ~insns starts ~len
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let best_i = ref infinity and best_c = ref infinity in
-  for round = 0 to 5 do
-    let i = sample_interp () in
-    let c = sample_compiled () in
-    if round > 0 then begin
-      if i < !best_i then best_i := i;
-      if c < !best_c then best_c := c
-    end
-  done;
-  let ns dt = 1e9 *. dt /. float_of_int (reps * len) in
-  {
-    co_name = name;
-    co_branchy = fraction < 0.5;
-    co_blocks = len;
-    co_fraction = fraction;
-    co_closures = Tea_core.Compiled.n_closures compiled;
-    co_fallback = Tea_core.Compiled.fallback_states compiled;
-    co_chained = Tea_core.Compiled.chained_states compiled;
-    co_base_ns = ns !best_i;
-    co_compiled_ns = ns !best_c;
-    co_cycles = Tea_core.Replayer.cycles comp_rep;
-  }
-
-let compile_json ~smoke ~strategy rows ~geo_all ~geo_branchy ~floor =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.bprintf buf fmt in
-  add "{\n";
-  add "  \"bench\": \"compile\",\n";
-  add "  \"smoke\": %b,\n" smoke;
-  add "  \"strategy\": %S,\n" strategy;
-  add "  \"scan_cap\": %d,\n" Tea_core.Compiled.scan_cap;
-  add "  \"workloads\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      add
-        "    {\"name\": %S, \"branchy\": %b, \"blocks\": %d, \
-         \"fused_step_fraction\": %.4f,\n"
-        r.co_name r.co_branchy r.co_blocks r.co_fraction;
-      add
-        "     \"closures\": %d, \"minihash_fallback_states\": %d, \
-         \"chain_matchers\": %d, \"sim_cycles\": %d,\n"
-        r.co_closures r.co_fallback r.co_chained r.co_cycles;
-      add
-        "     \"fused_replay_ns_per_block\": %.2f, \
-         \"compiled_replay_ns_per_block\": %.2f, \"replay_speedup\": %.3f}%s\n"
-        r.co_base_ns r.co_compiled_ns
-        (r.co_base_ns /. r.co_compiled_ns)
-        (if i = n - 1 then "" else ","))
-    rows;
-  add "  ],\n";
-  add "  \"geomean_replay_speedup_all\": %.3f,\n" geo_all;
-  add "  \"geomean_replay_speedup_branchy\": %.3f,\n" geo_branchy;
-  add "  \"min_replay_speedup\": %.3f\n" floor;
-  Buffer.contents buf ^ "}\n"
+  let interp_ns = ns_per ~reps fx.len interp_ns and comp_ns = ns_per ~reps fx.len comp_ns in
+  let branchy = fraction < 0.5 in
+  let closures = Tea_core.Compiled.n_closures compiled in
+  let fallback = Tea_core.Compiled.fallback_states compiled in
+  let chained = Tea_core.Compiled.chained_states compiled in
+  gate
+    (fx.len > 0 && cycles > 0 && closures > 0 && fraction >= 0.
+    && fraction <= 1. && interp_ns > 0. && comp_ns > 0.)
+    "%s: inconsistent compile row" name;
+  Printf.printf
+    "%-16s replay %5.1f -> %5.1f ns (%.2fx)  %d closures (%d minihash, %d \
+     chain matchers)  %4.1f%% fused steps%s\n%!"
+    name interp_ns comp_ns (interp_ns /. comp_ns) closures fallback chained
+    (100.0 *. fraction)
+    (if branchy then "  [branchy]" else "");
+  ( Obj
+      [ ("name", Str name); ("branchy", Bool branchy); ("blocks", Int fx.len);
+        ("fused_step_fraction", f4 fraction); ("closures", Int closures);
+        ("minihash_fallback_states", Int fallback); ("chain_matchers", Int chained);
+        ("sim_cycles", Int cycles); ("fused_replay_ns_per_block", f2 interp_ns);
+        ("compiled_replay_ns_per_block", f2 comp_ns);
+        ("replay_speedup", f3 (interp_ns /. comp_ns)) ],
+    (branchy, interp_ns /. comp_ns) )
 
 let run_compile ~smoke =
-  let strategy_name = "ctt" in
-  let strategy = Option.get (Tea_traces.Registry.by_name strategy_name) in
-  let names =
-    if smoke then [ "micro:listscan"; "181.mcf" ]
-    else List.map fst repack_micro_set @ Tea_workloads.Spec2000.names
-  in
+  let names = sweep_names ~smoke in
   progress
-    "[bench] compile: %d workloads, %s traces, closure-threaded dispatch \
+    "[bench] compile: %d workloads, ctt traces, closure-threaded dispatch \
      over the repacked+fused engine..."
-    (List.length names) strategy_name;
-  let rows =
-    List.map
-      (fun name ->
-        let r = run_compile_one ~strategy name in
-        Printf.printf
-          "%-16s replay %5.1f -> %5.1f ns (%.2fx)  %d closures (%d minihash, \
-           %d chain matchers)  %4.1f%% fused steps%s\n%!"
-          r.co_name r.co_base_ns r.co_compiled_ns
-          (r.co_base_ns /. r.co_compiled_ns)
-          r.co_closures r.co_fallback r.co_chained
-          (100.0 *. r.co_fraction)
-          (if r.co_branchy then "  [branchy]" else "");
-        r)
-      names
-  in
-  let speedup r = r.co_base_ns /. r.co_compiled_ns in
-  let geo_all = Tea_report.Stats.geomean (List.map speedup rows) in
-  let branchy = List.filter (fun r -> r.co_branchy) rows in
-  let geo_branchy =
-    Tea_report.Stats.geomean
-      (List.map speedup (if branchy = [] then rows else branchy))
-  in
-  let floor = List.fold_left (fun m r -> min m (speedup r)) infinity rows in
+    (List.length names);
+  let rows, stats = List.split (List.map run_compile_one names) in
+  let speedups = List.map snd stats in
+  let geo_all = geomean speedups in
+  let branchy = List.filter_map (fun (b, s) -> if b then Some s else None) stats in
+  gate (branchy <> []) "compile: no branchy workload in the sweep";
+  gate (Tea_core.Compiled.scan_cap >= 2) "compile: scan_cap below 2";
+  let geo_branchy = geomean branchy in
+  let floor = slowest speedups in
   Printf.printf
     "geomean replay speedup: %.2fx all, %.2fx branchy (target >= 1.15x); \
      slowest workload %.2fx (floor 0.98x)\n"
     geo_all geo_branchy floor;
   if geo_branchy < 1.15 then
-    progress
-      "[bench] WARNING: branchy geomean %.2fx below the 1.15x target"
+    progress "[bench] WARNING: branchy geomean %.2fx below the 1.15x target"
       geo_branchy;
   if floor < 0.98 then
     progress "[bench] WARNING: a workload regressed below the 0.98x floor";
-  let json =
-    compile_json ~smoke ~strategy:strategy_name rows ~geo_all ~geo_branchy
-      ~floor
-  in
-  let oc = open_out "BENCH_compile.json" in
-  output_string oc json;
-  close_out oc;
-  progress "[bench] wrote BENCH_compile.json (%d workloads, identity gates \
-            passed)"
-    (List.length rows)
+  gate (geo_all > 0. && floor > 0.) "compile: a geomean is not positive";
+  write "compile" ~smoke
+    [ ("strategy", Str "ctt"); ("scan_cap", Int Tea_core.Compiled.scan_cap);
+      ("workloads", Arr rows);
+      ("geomean_replay_speedup_all", f3 geo_all);
+      ("geomean_replay_speedup_branchy", f3 geo_branchy);
+      ("min_replay_speedup", f3 floor) ]
 
 (* ---- adversarial scenarios: the BENCH_scenario.json trajectory ----
 
@@ -1178,89 +724,52 @@ let run_compile ~smoke =
    multi-asid interleaving (round-robin and seeded-random schedules over
    all bases at once), self-modifying code (periodic invalidation per
    base) and mid-trace interrupts (a periodic signal per base). Every row
-   enforces the PR's hard gate before it is timed — demuxed replay
+   enforces the hard gate before it is timed — demuxed replay
    (sequential [Multi_replayer] AND demux-first sharding at jobs 2 and 4,
    over flat AND repack+fuse-tuned per-asid images) must produce per-asid
    Profile snapshots equal to replaying each asid's projection in
-   isolation; any divergence exits 1. Timing is the sequential demuxed
-   replay of the synthesized event file (decode included), best-of-5
-   after one warmup. *)
+   isolation. Timing is the sequential demuxed replay of the synthesized
+   event file (decode included), best-of-5 after one warmup. *)
 
 module Scenario = Tea_workloads.Scenario
 
-type scn_prep = {
-  sp_stream : Scenario.stream;
-  sp_flat : Tea_core.Packed.t;
-  sp_tuned : Tea_core.Packed.t;  (** repacked then fused on its own stream *)
-}
+let scenario_jobs = [ 2; 4 ]
 
-let scn_prep ~strategy asid name =
-  let image = repack_image name in
-  let dbt = Tea_dbt.Stardbt.record ~strategy image in
-  let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-  let flat = Tea_core.Packed.freeze (Tea_core.Builder.build traces) in
-  let path = Filename.temp_file "tea_bench" ".trc" in
-  let _ = Tea_pinsim.Trace_capture.record image path in
-  let stream = Scenario.load_stream ~asid ~name path in
-  Sys.remove path;
-  let starts = stream.Scenario.starts and len = stream.Scenario.len in
-  let repacked =
-    Tea_opt.Repack.repack flat (Tea_opt.Repack.collect flat starts ~len)
-  in
-  let tuned =
-    Tea_opt.Fuse.fuse
-      ~profile:(Tea_opt.Repack.collect repacked starts ~len)
-      repacked
-  in
-  { sp_stream = stream; sp_flat = flat; sp_tuned = tuned }
+let scenario_engines = [ "flat"; "repack+fuse" ]
 
-type scenario_row = {
-  sc_label : string;
-  sc_kind : string;
-  sc_asids : int;
-  sc_events : int;
-  sc_blocks : int;
-  sc_runs : int;  (** per-asid NTE-entry runs after invalidation/interrupt cuts *)
-  sc_ns : float;  (** sequential demuxed replay, ns/event, decode included *)
-}
-
-let scn_snap_eq a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (x, p) (y, q) -> x = y && Tea_parallel.Profile.equal p q)
-       a b
-
-let run_scenario_row ~label ~kind (preps : scn_prep array) scn =
+let run_scenario_row ~label ~kind ~n_bases (preps : fixture array) tuned scn =
   let file = Filename.temp_file "tea_scn" ".trc" in
   Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
   let n_events = Scenario.write_file file scn in
-  let gate engine img_for =
-    let make a =
-      Tea_core.Replayer.create_packed (Tea_core.Packed.dup (img_for a))
-    in
-    let isolated = Tea_core.Multi_replayer.replay_isolated make file in
-    let check how demuxed =
-      if not (scn_snap_eq demuxed isolated) then begin
-        Printf.eprintf
-          "[bench] ERROR: %s: %s demuxed replay (%s) diverged from isolated \
-           per-asid replay\n"
-          label engine how;
-        exit 1
-      end
-    in
-    check "sequential"
-      (Tea_core.Multi_replayer.snapshots
-         (Tea_core.Multi_replayer.replay_events make file));
-    List.iter
-      (fun jobs ->
-        Tea_parallel.Pool.with_pool ~jobs (fun pool ->
-            check
-              (Printf.sprintf "jobs %d" jobs)
-              (Tea_parallel.Shard.replay_events pool img_for file)))
-      [ 2; 4 ]
+  let same a b =
+    List.length a = List.length b
+    && List.for_all2
+         (fun (x, p) (y, q) -> x = y && Tea_parallel.Profile.equal p q)
+         a b
   in
-  gate "flat" (fun a -> preps.(a).sp_flat);
-  gate "repack+fuse" (fun a -> preps.(a).sp_tuned);
+  List.iter2
+    (fun engine img_for ->
+      let make a =
+        Tea_core.Replayer.create_packed (Tea_core.Packed.dup (img_for a))
+      in
+      let isolated = Tea_core.Multi_replayer.replay_isolated make file in
+      let check how demuxed =
+        gate (same demuxed isolated)
+          "%s: %s demuxed replay (%s) diverged from isolated per-asid replay"
+          label engine how
+      in
+      check "sequential"
+        (Tea_core.Multi_replayer.snapshots
+           (Tea_core.Multi_replayer.replay_events make file));
+      List.iter
+        (fun jobs ->
+          Tea_parallel.Pool.with_pool ~jobs (fun pool ->
+              check
+                (Printf.sprintf "jobs %d" jobs)
+                (Tea_parallel.Shard.replay_events pool img_for file)))
+        scenario_jobs)
+    scenario_engines
+    [ (fun a -> preps.(a).flat); (fun a -> tuned.(a)) ];
   let runs = Tea_parallel.Shard.load_events file in
   let blocks =
     List.fold_left
@@ -1269,73 +778,50 @@ let run_scenario_row ~label ~kind (preps : scn_prep array) scn =
       0 runs
   in
   let n_runs = List.fold_left (fun acc (_, rs) -> acc + List.length rs) 0 runs in
+  let asids = List.length runs in
+  gate
+    (n_events >= blocks && blocks > 0 && n_runs >= 1
+    && asids = if kind = "interleave" then n_bases else 1)
+    "%s: %d events, %d blocks, %d runs over %d asids" label n_events blocks
+    n_runs asids;
   let make_flat a =
-    Tea_core.Replayer.create_packed (Tea_core.Packed.dup preps.(a).sp_flat)
+    Tea_core.Replayer.create_packed (Tea_core.Packed.dup preps.(a).flat)
   in
-  let reps = 1 + (500_000 / max 1 n_events) in
-  let sample () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (Tea_core.Multi_replayer.replay_events make_flat file)
-    done;
-    Unix.gettimeofday () -. t0
+  let reps = reps_for ~budget:500_000 n_events in
+  let best =
+    best_of ~rounds:5
+      (repeat reps (fun () ->
+           ignore (Tea_core.Multi_replayer.replay_events make_flat file)))
   in
-  let best = ref infinity in
-  for round = 0 to 5 do
-    let dt = sample () in
-    if round > 0 && dt < !best then best := dt
-  done;
-  {
-    sc_label = label;
-    sc_kind = kind;
-    sc_asids = List.length runs;
-    sc_events = n_events;
-    sc_blocks = blocks;
-    sc_runs = n_runs;
-    sc_ns = 1e9 *. !best /. float_of_int (reps * n_events);
-  }
-
-let scenario_json ~smoke ~strategy ~bases rows =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.bprintf buf fmt in
-  add "{\n";
-  add "  \"bench\": \"scenario\",\n";
-  add "  \"smoke\": %b,\n" smoke;
-  add "  \"strategy\": %S,\n" strategy;
-  add "  \"bases\": [%s],\n"
-    (String.concat ", " (List.map (Printf.sprintf "%S") bases));
-  add "  \"jobs_gated\": [1, 2, 4],\n";
-  add "  \"engines_gated\": [\"flat\", \"repack+fuse\"],\n";
-  add "  \"gate\": \"demuxed == isolated per-asid Profile equality\",\n";
-  add "  \"rows\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      add
-        "    {\"name\": %S, \"kind\": %S, \"asids\": %d, \"events\": %d, \
-         \"blocks\": %d, \"runs\": %d, \"replay_ns_per_event\": %.2f}%s\n"
-        r.sc_label r.sc_kind r.sc_asids r.sc_events r.sc_blocks r.sc_runs
-        r.sc_ns
-        (if i = n - 1 then "" else ","))
-    rows;
-  add "  ]\n";
-  Buffer.contents buf ^ "}\n"
+  let ns = ns_per ~reps n_events best in
+  gate (ns > 0.) "%s: replay timed at 0 ns" label;
+  Printf.printf
+    "%-24s %d asids  %7d events  %7d blocks in %3d runs  %6.1f ns/event  \
+     [gate ok]\n%!"
+    label asids n_events blocks n_runs ns;
+  Obj
+    [ ("name", Str label); ("kind", Str kind); ("asids", Int asids);
+      ("events", Int n_events); ("blocks", Int blocks); ("runs", Int n_runs);
+      ("replay_ns_per_event", f2 ns) ]
 
 let run_scenario ~smoke =
-  let strategy_name = "mret" in
-  let strategy = Option.get (Tea_traces.Registry.by_name strategy_name) in
   let bases =
     if smoke then [ "micro:listscan"; "micro:copy"; "181.mcf" ]
     else [ "micro:listscan"; "micro:copy"; "micro:branchy"; "181.mcf"; "164.gzip" ]
   in
   progress
-    "[bench] scenario: %d bases, %s traces, gating demuxed vs isolated at \
+    "[bench] scenario: %d bases, mret traces, gating demuxed vs isolated at \
      jobs 1/2/4, flat and repack+fuse..."
-    (List.length bases) strategy_name;
-  let preps =
-    Array.of_list (List.mapi (fun i n -> scn_prep ~strategy i n) bases)
+    (List.length bases);
+  let preps = Array.of_list (List.map (fun n -> prepare n) bases) in
+  (* forced here: shard workers look images up from several domains *)
+  let tuned = Array.map (fun fx -> Lazy.force fx.fused) preps in
+  let streams =
+    List.mapi
+      (fun asid (name, fx) ->
+        Scenario.stream ~asid ~name ~starts:fx.starts ~insns:fx.insns ~len:fx.len)
+      (List.combine bases (Array.to_list preps))
   in
-  let streams = Array.to_list (Array.map (fun p -> p.sp_stream) preps) in
   let interrupt_every s = max 32 (s.Scenario.len / 8) in
   let rows =
     [ ("interleave-rr", "interleave",
@@ -1344,8 +830,7 @@ let run_scenario ~smoke =
        Scenario.interleave ~quantum:8 ~schedule:(Scenario.Random_sched 42)
          streams) ]
     @ List.map
-        (fun s ->
-          ("smc:" ^ s.Scenario.name, "smc", Scenario.smc ~period:64 s))
+        (fun s -> ("smc:" ^ s.Scenario.name, "smc", Scenario.smc ~period:64 s))
         streams
     @ List.map
         (fun s ->
@@ -1353,190 +838,20 @@ let run_scenario ~smoke =
             Scenario.interrupt ~every:(interrupt_every s) s ))
         streams
   in
+  let n_bases = List.length bases in
   let rows =
     List.map
       (fun (label, kind, scn) ->
-        let r = run_scenario_row ~label ~kind preps scn in
-        Printf.printf
-          "%-24s %d asids  %7d events  %7d blocks in %3d runs  %6.1f ns/event  \
-           [gate ok]\n%!"
-          r.sc_label r.sc_asids r.sc_events r.sc_blocks r.sc_runs r.sc_ns;
-        r)
+        run_scenario_row ~label ~kind ~n_bases preps tuned scn)
       rows
   in
-  let json = scenario_json ~smoke ~strategy:strategy_name ~bases rows in
-  let oc = open_out "BENCH_scenario.json" in
-  output_string oc json;
-  close_out oc;
-  progress "[bench] wrote BENCH_scenario.json (%d rows, all gates passed)"
-    (List.length rows)
-
-(* ---- replay-as-a-service: the BENCH_serve.json trajectory ----
-
-   Rows measure daemon ingest throughput: 8 concurrent client domains
-   stream a workload's captured PC-trace over a unix socket (half as raw
-   v2, half re-encoded as a 2-asid v3 event stream), plus one adversarial
-   mid-stream disconnect, into a single shared packed image at jobs
-   1/2/4. Every row enforces the daemon gate before it is reported: the
-   fleet profile folded from the concurrent sessions must equal the
-   sequential offline replay of the same streams; any divergence exits
-   1. *)
-
-type serve_row = {
-  sv_base : string;
-  sv_jobs : int;
-  sv_sessions : int;
-  sv_blocks : int;  (** total across completed sessions *)
-  sv_bytes : int;  (** trace bytes ingested *)
-  sv_wall_ms : float;
-  sv_ns : float;  (** wall ns per replayed block *)
-}
-
-let serve_session_streams captured_path ~sessions =
-  let v2 = Tea_core.Pc_trace.read_all captured_path in
-  (* the v3 variant: the same block stream cut into 64-block quanta
-     alternating between two asids — the daemon demuxes it per session *)
-  let v3 =
-    let tmp = Filename.temp_file "tea_bench_v3" ".trc" in
-    let w = Tea_core.Pc_trace.open_writer ~format:Tea_core.Pc_trace.V3 tmp in
-    let i = ref 0 in
-    Tea_core.Pc_trace.fold_events captured_path () (fun () ~asid:_ ev ->
-        (match ev with
-        | Tea_core.Pc_trace.Block _ ->
-            if !i mod 64 = 0 then
-              Tea_core.Pc_trace.switch_asid w (!i / 64 mod 2);
-            incr i
-        | _ -> ());
-        Tea_core.Pc_trace.write_event w ev);
-    Tea_core.Pc_trace.close_writer w;
-    let s = Tea_core.Pc_trace.read_all tmp in
-    Sys.remove tmp;
-    s
-  in
-  List.init sessions (fun i -> if i mod 2 = 0 then v2 else v3)
-
-let run_serve_row ~base ~jobs ~streams image =
-  let sock = Filename.temp_file "tea_bench_serve" ".sock" in
-  Sys.remove sock;
-  let srv =
-    Tea_serve.Server.create ~offline_check:true ~jobs ~image
-      (Tea_serve.Frame.Unix_sock sock)
-  in
-  Fun.protect ~finally:(fun () -> Tea_serve.Server.close srv) @@ fun () ->
-  let addr = Tea_serve.Server.addr srv in
-  let n = List.length streams in
-  let driver =
-    Domain.spawn (fun () -> Tea_serve.Server.run ~until_sessions:(n + 1) srv)
-  in
-  let t0 = Unix.gettimeofday () in
-  let clients =
-    List.map
-      (fun s ->
-        Domain.spawn (fun () ->
-            ignore (Tea_serve.Client.replay_string ~chunk:8192 addr s)))
-      streams
-  in
-  (* the rude client: a prefix of a stream, then a close with no end *)
-  let fd = Tea_serve.Frame.connect addr in
-  Tea_serve.Frame.send fd Tea_serve.Frame.tag_data
-    (String.sub (List.hd streams) 0 100);
-  Unix.close fd;
-  List.iter Domain.join clients;
-  Domain.join driver;
-  let wall = Unix.gettimeofday () -. t0 in
-  let fleet = Tea_serve.Server.fleet_profile srv in
-  let offline = Tea_serve.Server.offline_profile srv in
-  if not (Tea_parallel.Profile.equal fleet offline) then begin
-    Printf.eprintf
-      "[bench] ERROR: serve %s jobs %d: fleet profile diverged from \
-       sequential offline replay\n"
-      base jobs;
-    exit 1
-  end;
-  if Tea_serve.Server.disconnected srv <> 1 then begin
-    Printf.eprintf
-      "[bench] ERROR: serve %s jobs %d: expected exactly 1 disconnect, got \
-       %d\n"
-      base jobs
-      (Tea_serve.Server.disconnected srv);
-    exit 1
-  end;
-  let blocks = fleet.Tea_parallel.Profile.steps in
-  let bytes = List.fold_left (fun a s -> a + String.length s) 0 streams in
-  {
-    sv_base = base;
-    sv_jobs = jobs;
-    sv_sessions = n;
-    sv_blocks = blocks;
-    sv_bytes = bytes;
-    sv_wall_ms = 1e3 *. wall;
-    sv_ns = 1e9 *. wall /. float_of_int (max 1 blocks);
-  }
-
-let serve_json ~smoke rows =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.bprintf buf fmt in
-  add "{\n";
-  add "  \"bench\": \"serve\",\n";
-  add "  \"smoke\": %b,\n" smoke;
-  add "  \"gate\": \"fleet profile == sequential offline replay, 1 rude \
-       disconnect tolerated\",\n";
-  add "  \"rows\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      add
-        "    {\"base\": %S, \"jobs\": %d, \"sessions\": %d, \"blocks\": %d, \
-         \"bytes\": %d, \"wall_ms\": %.2f, \"ingest_ns_per_block\": %.2f}%s\n"
-        r.sv_base r.sv_jobs r.sv_sessions r.sv_blocks r.sv_bytes r.sv_wall_ms
-        r.sv_ns
-        (if i = n - 1 then "" else ","))
-    rows;
-  add "  ]\n";
-  Buffer.contents buf ^ "}\n"
-
-let run_serve ~smoke =
-  let bases =
-    if smoke then [ "micro:listscan" ] else [ "micro:listscan"; "181.mcf" ]
-  in
-  let sessions = 8 in
-  progress
-    "[bench] serve: %d bases, %d concurrent sessions + 1 disconnect, gating \
-     fleet vs offline at jobs 1/2/4..."
-    (List.length bases) sessions;
-  let rows =
-    List.concat_map
-      (fun base ->
-        let image = repack_image base in
-        let path = Filename.temp_file "tea_bench_serve" ".trc" in
-        Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-        let _ = Tea_pinsim.Trace_capture.record image path in
-        let packed =
-          let strategy = Option.get (Tea_traces.Registry.by_name "mret") in
-          let dbt = Tea_dbt.Stardbt.record ~strategy image in
-          Tea_core.Packed.freeze
-            (Tea_core.Builder.build
-               (Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set))
-        in
-        let streams = serve_session_streams path ~sessions in
-        List.map
-          (fun jobs ->
-            let r = run_serve_row ~base ~jobs ~streams packed in
-            Printf.printf
-              "serve %-16s jobs %d  %d sessions  %8d blocks  %7.1f ms  \
-               %6.1f ns/block  [gate ok]\n%!"
-              r.sv_base r.sv_jobs r.sv_sessions r.sv_blocks r.sv_wall_ms
-              r.sv_ns;
-            r)
-          [ 1; 2; 4 ])
-      bases
-  in
-  let json = serve_json ~smoke rows in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc json;
-  close_out oc;
-  progress "[bench] wrote BENCH_serve.json (%d rows, all gates passed)"
-    (List.length rows)
+  write "scenario" ~smoke
+    [ ("strategy", Str "mret");
+      ("bases", Arr (List.map (fun b -> Str b) bases));
+      ("jobs_gated", Arr (List.map (fun j -> Int j) (1 :: scenario_jobs)));
+      ("engines_gated", Arr (List.map (fun e -> Str e) scenario_engines));
+      ("gate", Str "demuxed == isolated per-asid Profile equality");
+      ("rows", Arr rows) ]
 
 (* ---- closed-loop continuous PGO: the BENCH_retune.json trajectory ----
 
@@ -1553,28 +868,17 @@ let run_serve ~smoke =
    both daemons, and post-swap steady-state throughput >= 1.15x the
    no-retune daemon. *)
 
-type retune_row = {
-  rt_jobs : int;
-  rt_sessions : int;  (** per daemon, measurement sessions (post warmup) *)
-  rt_swaps : int;
-  rt_baseline_ns : float;  (** no-retune daemon, post window *)
-  rt_pre_ns : float;  (** retune daemon, before the swap landed *)
-  rt_post_ns : float;  (** retune daemon, after the swap *)
-  rt_speedup : float;  (** baseline_ns / post_ns — the gated number *)
-  rt_pause_ms : float;  (** cumulative wall time inside swaps *)
-}
+let retune_floor = 1.15
 
 let retune_fixture () =
-  let block_at addr =
-    Tea_cfg.Block.make Tea_cfg.Block.Branch
-      [ (addr, Tea_isa.Insn.Jmp (Tea_isa.Insn.Abs 0)) ]
-  in
   (* two recorded loops: n forced states whose last edge re-enters the
      head — each is one cyclic fusible chain, and profile-aware fusion
      keeps only the one the guiding stream actually spins in *)
   let loop ~id base n =
     Tea_traces.Trace.make ~id ~kind:"bench"
-      (Array.init n (fun i -> block_at (base + (16 * i))))
+      (Array.init n (fun i ->
+           Tea_cfg.Block.make Tea_cfg.Block.Branch
+             [ (base + (16 * i), Tea_isa.Insn.Jmp (Tea_isa.Insn.Abs 0)) ]))
       (Array.init n (fun i -> [ (i + 1) mod n ]))
   in
   (* 24-state loops: small enough that the drift gauge's top-K support
@@ -1659,11 +963,7 @@ let run_retune_daemon ~jobs ~retune ~drift_ref ~base ~image ~warm ~session
       | Some e when e >= 1 -> swapped := true
       | _ -> ()
     done;
-    if not !swapped then begin
-      Printf.eprintf
-        "[bench] ERROR: retune jobs %d: daemon never swapped its image\n" jobs;
-      exit 1
-    end
+    gate !swapped "retune jobs %d: daemon never swapped its image" jobs
   end
   else
     for _ = 1 to pre do
@@ -1677,16 +977,14 @@ let run_retune_daemon ~jobs ~retune ~drift_ref ~base ~image ~warm ~session
   let ns2, blk2 = Tea_serve.Server.drain_totals srv in
   Tea_serve.Server.stop srv;
   Domain.join driver;
-  let fleet = Tea_serve.Server.fleet_profile srv in
-  if not (Tea_parallel.Profile.equal fleet (Tea_serve.Server.offline_profile srv))
-  then begin
-    Printf.eprintf
-      "[bench] ERROR: retune jobs %d (%s): fleet profile diverged from \
-       sequential offline replay\n"
-      jobs
-      (if retune then "retune" else "baseline");
-    exit 1
-  end;
+  gate
+    (Tea_parallel.Profile.equal
+       (Tea_serve.Server.fleet_profile srv)
+       (Tea_serve.Server.offline_profile srv))
+    "retune jobs %d (%s): fleet profile diverged from sequential offline \
+     replay"
+    jobs
+    (if retune then "retune" else "baseline");
   let window ns ns' blk blk' =
     float_of_int (ns' - ns) /. float_of_int (max 1 (blk' - blk))
   in
@@ -1696,38 +994,11 @@ let run_retune_daemon ~jobs ~retune ~drift_ref ~base ~image ~warm ~session
     Tea_serve.Server.epoch srv,
     Tea_serve.Server.swap_pause_ns srv )
 
-let retune_json ~smoke rows =
-  let buf = Buffer.create 2048 in
-  let add fmt = Printf.bprintf buf fmt in
-  add "{\n";
-  add "  \"bench\": \"retune\",\n";
-  add "  \"smoke\": %b,\n" smoke;
-  add
-    "  \"gate\": \"fleet == offline across the swap; post-swap throughput \
-     >= 1.15x the no-retune daemon\",\n";
-  add "  \"floor\": 1.15,\n";
-  add "  \"rows\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      add
-        "    {\"jobs\": %d, \"sessions\": %d, \"swaps\": %d, \
-         \"baseline_ns_per_block\": %.2f, \"pre_swap_ns_per_block\": %.2f, \
-         \"post_swap_ns_per_block\": %.2f, \"speedup_post\": %.3f, \
-         \"swap_pause_ms\": %.3f}%s\n"
-        r.rt_jobs r.rt_sessions r.rt_swaps r.rt_baseline_ns r.rt_pre_ns
-        r.rt_post_ns r.rt_speedup r.rt_pause_ms
-        (if i = n - 1 then "" else ","))
-    rows;
-  add "  ]\n";
-  Buffer.contents buf ^ "}\n"
-
 let run_retune ~smoke =
   let flat, a_starts, b_starts = retune_fixture () in
   (* cold-start mistuning: the daemon boots on the untuned flat image
      with a stale drift reference (yesterday's phase-A profile); the
      profile-aware rebuild can only come from live traffic *)
-  let mistuned = flat in
   let drift_ref =
     let prof =
       Tea_opt.Repack.collect flat a_starts ~len:(Array.length a_starts)
@@ -1738,25 +1009,24 @@ let run_retune ~smoke =
   in
   let warm = retune_session_bytes a_starts in
   let session = retune_session_bytes b_starts in
-  let jobs_list = if smoke then [ 1 ] else [ 1; 2 ] in
   let post = if smoke then 3 else 6 in
   progress
     "[bench] retune: phase-shift fixture (image tuned on chain A, traffic \
-     on chain B), gating post-swap vs no-retune at 1.15x...";
+     on chain B), gating post-swap vs no-retune at %.2fx..."
+    retune_floor;
   let rows =
     List.map
       (fun jobs ->
         (* cross-daemon wall-clock noise is the dominant error term, so
-           run the daemon pair twice and keep the better round — the
-           best-of discipline the repack/fuse benches use *)
+           run the daemon pair twice and keep the better round *)
         let round () =
           let pre_r, post_r, pre_sessions, swaps, pause_ns =
             run_retune_daemon ~jobs ~retune:true ~drift_ref ~base:flat
-              ~image:mistuned ~warm ~session ~pre:0 ~post
+              ~image:flat ~warm ~session ~pre:0 ~post
           in
           let _, post_b, _, _, _ =
             run_retune_daemon ~jobs ~retune:false ~drift_ref ~base:flat
-              ~image:mistuned ~warm ~session ~pre:pre_sessions ~post
+              ~image:flat ~warm ~session ~pre:pre_sessions ~post
           in
           (pre_r, post_r, pre_sessions, swaps, pause_ns, post_b)
         in
@@ -1766,39 +1036,36 @@ let run_retune ~smoke =
           if speedup_of r1 >= speedup_of r2 then r1 else r2
         in
         let speedup = post_b /. post_r in
-        let r =
-          {
-            rt_jobs = jobs;
-            rt_sessions = pre_sessions + post;
-            rt_swaps = swaps;
-            rt_baseline_ns = post_b;
-            rt_pre_ns = pre_r;
-            rt_post_ns = post_r;
-            rt_speedup = speedup;
-            rt_pause_ms = 1e-6 *. float_of_int pause_ns;
-          }
-        in
+        let pause_ms = 1e-6 *. float_of_int pause_ns in
         Printf.printf
           "retune jobs %d  %2d sessions  %d swap(s)  baseline %6.1f \
            ns/block  post-swap %6.1f ns/block  %.2fx  pause %.3f ms\n%!"
-          r.rt_jobs r.rt_sessions r.rt_swaps r.rt_baseline_ns r.rt_post_ns
-          r.rt_speedup r.rt_pause_ms;
-        if speedup < 1.15 then begin
-          Printf.eprintf
-            "[bench] ERROR: retune jobs %d: post-swap speedup %.3fx below \
-             the 1.15x floor — the hot swap did not pay for itself\n"
-            jobs speedup;
-          exit 1
-        end;
-        r)
-      jobs_list
+          jobs (pre_sessions + post) swaps post_b post_r speedup pause_ms;
+        gate
+          (swaps >= 1 && pre_r > 0. && post_r > 0. && post_b > 0.
+          && pause_ms >= 0.)
+          "retune jobs %d: %d swaps, empty measurement window" jobs swaps;
+        gate (speedup >= retune_floor)
+          "retune jobs %d: post-swap speedup %.3fx below the %.2fx floor — \
+           the hot swap did not pay for itself"
+          jobs speedup retune_floor;
+        Obj
+          [ ("jobs", Int jobs); ("sessions", Int (pre_sessions + post));
+            ("swaps", Int swaps); ("baseline_ns_per_block", f2 post_b);
+            ("pre_swap_ns_per_block", f2 pre_r);
+            ("post_swap_ns_per_block", f2 post_r); ("speedup_post", f3 speedup);
+            ("swap_pause_ms", f3 pause_ms) ])
+      (if smoke then [ 1 ] else [ 1; 2 ])
   in
-  let json = retune_json ~smoke rows in
-  let oc = open_out "BENCH_retune.json" in
-  output_string oc json;
-  close_out oc;
-  progress "[bench] wrote BENCH_retune.json (%d rows, all gates passed)"
-    (List.length rows)
+  write "retune" ~smoke
+    [ ( "gate",
+        Str
+          (Printf.sprintf
+             "fleet == offline across the swap; post-swap throughput >= \
+              %.2fx the no-retune daemon"
+             retune_floor) );
+      ("floor", f2 retune_floor);
+      ("rows", Arr rows) ]
 
 (* ---- observability plane: the BENCH_observe.json trajectory ----
 
@@ -1809,76 +1076,56 @@ let run_retune ~smoke =
    gate that the tier counters sum exactly to the blocks replayed —
    attribution is total, never sampled-ish. (2) Scrape latency against a
    live daemon: sessions stream while tea_serve answers exposition
-   scrapes; each scrape is timed round-trip and the format is sanity
-   checked. Overhead numbers are machine-dependent and reported, not
-   gated (CI re-gates the disabled path via `bench telemetry`). *)
+   scrapes; each scrape is timed round-trip and the exposition format is
+   checked line by line. Overhead numbers are machine-dependent and
+   reported, not gated (`bench telemetry` gates the disabled path). *)
 
-type observe_engine_row = {
-  oe_name : string;
-  oe_disabled_ns : float;
-  oe_enabled_ns : float;
-  oe_blocks : int;  (** blocks attributed while enabled, across all reps *)
-  oe_tiers : Tea_core.Tierstat.snapshot;
-}
-
-let run_observe_engine ~name img ~starts ~insns ~len =
-  let reps = 1 + (2_000_000 / max 1 len) in
-  let run_once () =
-    let rep = Tea_core.Replayer.create_packed (Tea_core.Packed.dup img) in
-    Tea_core.Replayer.feed_run rep ~insns starts ~len
+let observe_engine ~name fx img =
+  let len = fx.len in
+  let reps = reps_for ~budget:2_000_000 len in
+  let sample =
+    repeat reps (fun () -> ignore (replay fx (Tea_core.Packed.dup img)))
   in
-  let sample () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      run_once ()
-    done;
-    Unix.gettimeofday () -. t0
+  let d, e =
+    interleaved ~rounds:5 sample (fun () ->
+        Tea_core.Tierstat.install ();
+        let e = sample () in
+        ignore (Tea_core.Tierstat.uninstall ());
+        e)
   in
-  (* interleaved: a disabled sample then an enabled sample per round, so
-     machine drift hits both series equally; best of 5 after one warmup *)
-  let best_d = ref infinity and best_e = ref infinity in
-  for round = 0 to 5 do
-    let d = sample () in
-    Tea_core.Tierstat.install ();
-    let e = sample () in
-    ignore (Tea_core.Tierstat.uninstall ());
-    if round > 0 then begin
-      if d < !best_d then best_d := d;
-      if e < !best_e then best_e := e
-    end
-  done;
   (* one final instrumented replay whose snapshot we keep for the gate
      and the report (per-run counts, not accumulated) *)
   Tea_core.Tierstat.install ();
-  run_once ();
+  ignore (replay fx (Tea_core.Packed.dup img));
   let snap = Tea_core.Tierstat.uninstall () in
-  if Tea_core.Tierstat.total snap <> len then begin
-    Printf.eprintf
-      "[bench] ERROR: %s: tier counters sum to %d, expected %d blocks — \
-       dispatch attribution is not total\n"
-      name
-      (Tea_core.Tierstat.total snap)
-      len;
-    exit 1
-  end;
-  let ns dt = 1e9 *. dt /. float_of_int (reps * len) in
-  {
-    oe_name = name;
-    oe_disabled_ns = ns !best_d;
-    oe_enabled_ns = ns !best_e;
-    oe_blocks = len;
-    oe_tiers = snap;
-  }
+  gate
+    (Tea_core.Tierstat.total snap = len)
+    "%s: tier counters sum to %d, expected %d blocks — dispatch attribution \
+     is not total"
+    name (Tea_core.Tierstat.total snap) len;
+  let d = ns_per ~reps len d and e = ns_per ~reps len e in
+  gate (len > 0 && d > 0. && e > 0.) "%s: empty stream or 0 ns replay" name;
+  let overhead = 100.0 *. ((e /. d) -. 1.0) in
+  Printf.printf
+    "%-9s tierstat off %6.1f ns/block, on %6.1f ns/block (+%.1f%%)  [tier \
+     sum == %d blocks]\n%!"
+    name d e overhead len;
+  let tier t = snap.Tea_core.Tierstat.ts_totals.(t) in
+  ( Obj
+      [ ("name", Str name); ("blocks", Int len); ("disabled_ns_per_block", f2 d);
+        ("enabled_ns_per_block", f2 e); ("overhead_pct", f2 overhead);
+        ( "tiers",
+          Obj
+            (List.init Tea_core.Tierstat.n_tiers (fun t ->
+                 (Tea_core.Tierstat.tier_name t, Int (tier t)))) ) ],
+    tier )
 
-type observe_scrape = {
-  os_sessions : int;
-  os_scrapes : int;
-  os_bytes : int;  (** exposition payload size of the last scrape *)
-  os_best_us : float;
-  os_mean_us : float;
-}
+(* One exposition line: a "# TYPE" comment or [name{k="v",...} value]. *)
+let exposition_line =
+  Str.regexp
+    {|^\(# TYPE .*\|[a-zA-Z_:][a-zA-Z0-9_:]*\({[a-zA-Z0-9_]+="[^"]*"\(,[a-zA-Z0-9_]+="[^"]*"\)*}\)? -?[0-9.+eE]+\(Inf\)?\)$|}
 
-let run_observe_scrape ~jobs image streams =
+let observe_scrape ~jobs ~n_scrapes image streams =
   let sock = Filename.temp_file "tea_bench_observe" ".sock" in
   Sys.remove sock;
   let srv =
@@ -1895,159 +1142,87 @@ let run_observe_scrape ~jobs image streams =
       streams
   in
   (* scrape while the fleet is streaming: time each round trip *)
-  let n_scrapes = 32 in
-  let best = ref infinity and sum = ref 0.0 and last = ref "" in
-  for _ = 1 to n_scrapes do
-    let t0 = Unix.gettimeofday () in
-    let text = Tea_serve.Client.scrape addr in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    sum := !sum +. dt;
-    last := text
-  done;
+  let times, texts =
+    List.split
+      (List.init n_scrapes (fun _ ->
+           let text, dt = time (fun () -> Tea_serve.Client.scrape addr) in
+           (dt, text)))
+  in
   List.iter Domain.join clients;
+  (* one more scrape once every session completed, so the session
+     histograms are in it *)
+  let final = Tea_serve.Client.scrape addr in
   Tea_serve.Server.stop srv;
   Domain.join driver;
-  (* sanity: the exposition carries the observability families *)
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
+  let lines text = String.split_on_char '\n' (String.trim text) in
+  let bad =
+    List.concat_map
+      (fun t ->
+        List.filter (fun l -> not (Str.string_match exposition_line l 0)) (lines t))
+      (final :: texts)
   in
-  if not (contains "tea_dispatch_tier_total" !last && contains "tea_counter" !last)
-  then begin
-    prerr_endline
-      "[bench] ERROR: scraped exposition is missing expected families";
-    exit 1
-  end;
-  {
-    os_sessions = List.length streams;
-    os_scrapes = n_scrapes;
-    os_bytes = String.length !last;
-    os_best_us = 1e6 *. !best;
-    os_mean_us = 1e6 *. !sum /. float_of_int n_scrapes;
-  }
-
-let observe_json ~smoke rows scrape =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.bprintf buf fmt in
-  add "{\n";
-  add "  \"bench\": \"observe\",\n";
-  add "  \"smoke\": %b,\n" smoke;
-  add "  \"gate\": \"tier counters sum to blocks replayed; exposition \
-       carries tier/counter families\",\n";
-  add "  \"engines\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      let tiers =
-        String.concat ", "
-          (List.init Tea_core.Tierstat.n_tiers (fun t ->
-               Printf.sprintf "\"%s\": %d"
-                 (Tea_core.Tierstat.tier_name t)
-                 r.oe_tiers.Tea_core.Tierstat.ts_totals.(t)))
-      in
-      add
-        "    {\"name\": %S, \"blocks\": %d, \"disabled_ns_per_block\": %.2f, \
-         \"enabled_ns_per_block\": %.2f, \"overhead_pct\": %.2f,\n"
-        r.oe_name r.oe_blocks r.oe_disabled_ns r.oe_enabled_ns
-        (100.0 *. ((r.oe_enabled_ns /. r.oe_disabled_ns) -. 1.0));
-      add "     \"tiers\": {%s}}%s\n" tiers (if i = n - 1 then "" else ","))
-    rows;
-  add "  ],\n";
-  add
-    "  \"scrape\": {\"sessions\": %d, \"scrapes\": %d, \"exposition_bytes\": \
-     %d, \"best_us\": %.1f, \"mean_us\": %.1f}\n"
-    scrape.os_sessions scrape.os_scrapes scrape.os_bytes scrape.os_best_us
-    scrape.os_mean_us;
-  Buffer.contents buf ^ "}\n"
+  gate (bad = []) "malformed exposition line %S"
+    (match bad with l :: _ -> l | [] -> "");
+  let has p = List.exists (String.starts_with ~prefix:p) (lines final) in
+  List.iter
+    (fun fam -> gate (has ("# TYPE " ^ fam ^ " ")) "scrape lacks family %s" fam)
+    [ "tea_counter"; "tea_histogram"; "tea_dispatch_tier_total" ];
+  gate (has "tea_histogram_quantile") "scrape has no quantile rows";
+  List.iter
+    (fun t ->
+      let tier = Tea_core.Tierstat.tier_name t in
+      gate
+        (has (Printf.sprintf "tea_dispatch_tier_total{tier=%S}" tier))
+        "scrape lacks the %s tier" tier)
+    (List.init Tea_core.Tierstat.n_tiers Fun.id);
+  let best = List.fold_left min infinity times in
+  let mean = List.fold_left ( +. ) 0.0 times /. float_of_int n_scrapes in
+  gate (best > 0.) "scrape timed at 0 us";
+  (String.length (List.nth texts (n_scrapes - 1)), 1e6 *. best, 1e6 *. mean)
 
 let run_observe ~smoke =
-  let image = Tea_workloads.Micro.list_scan () in
-  let strategy = Option.get (Tea_traces.Registry.by_name "mret") in
-  let dbt = Tea_dbt.Stardbt.record ~strategy image in
-  let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-  let flat = Tea_core.Packed.freeze (Tea_core.Builder.build traces) in
-  let path = Filename.temp_file "tea_bench" ".trc" in
-  let n_blocks = Tea_pinsim.Trace_capture.record image path in
-  let starts, insns, len = Tea_parallel.Shard.load_pc_trace path in
-  let stream = Tea_core.Pc_trace.read_all path in
-  Sys.remove path;
+  let fx = prepare ~keep_trace:true "micro:listscan" in
   progress
     "[bench] observe: %d blocks from micro:listscan; tier-profiler overhead \
      per engine, then live scrape latency..."
-    n_blocks;
-  let repacked =
-    Tea_opt.Repack.repack flat (Tea_opt.Repack.collect flat starts ~len)
-  in
-  let fused =
-    Tea_opt.Fuse.fuse
-      ~profile:(Tea_opt.Repack.collect repacked starts ~len)
-      repacked
-  in
+    fx.len;
   (* listscan never fuses a chain, so the fused tier would stay silent;
      a fourth row replays micro:nested (whose inner loop fuses at ~97%
      of steps) on its own tuned image to exercise that tier too *)
-  let loop_img, loop_starts, loop_insns, loop_len =
-    let image = Tea_workloads.Micro.nested_loop () in
-    let dbt = Tea_dbt.Stardbt.record ~strategy image in
-    let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-    let flat = Tea_core.Packed.freeze (Tea_core.Builder.build traces) in
-    let path = Filename.temp_file "tea_bench" ".trc" in
-    ignore (Tea_pinsim.Trace_capture.record image path);
-    let starts, insns, len = Tea_parallel.Shard.load_pc_trace path in
-    Sys.remove path;
-    let repacked =
-      Tea_opt.Repack.repack flat (Tea_opt.Repack.collect flat starts ~len)
-    in
-    let fused =
-      Tea_opt.Fuse.fuse
-        ~profile:(Tea_opt.Repack.collect repacked starts ~len)
-        repacked
-    in
-    (fused, starts, insns, len)
+  let loop = prepare "micro:nested" in
+  let rows, tiers =
+    List.split
+      (List.map
+         (fun (name, fx, img) -> observe_engine ~name fx (Lazy.force img))
+         [ ("flat", fx, lazy fx.flat); ("repack", fx, fx.repacked);
+           ("fuse", fx, fx.fused); ("fuse-loop", loop, loop.fused) ])
   in
-  let rows =
-    List.map
-      (fun (name, img, starts, insns, len) ->
-        let r = run_observe_engine ~name img ~starts ~insns ~len in
-        Printf.printf
-          "%-9s tierstat off %6.1f ns/block, on %6.1f ns/block (+%.1f%%)  \
-           [tier sum == %d blocks]\n%!"
-          r.oe_name r.oe_disabled_ns r.oe_enabled_ns
-          (100.0 *. ((r.oe_enabled_ns /. r.oe_disabled_ns) -. 1.0))
-          r.oe_blocks;
-        r)
-      [ ("flat", flat, starts, insns, len);
-        ("repack", repacked, starts, insns, len);
-        ("fuse", fused, starts, insns, len);
-        ("fuse-loop", loop_img, loop_starts, loop_insns, loop_len) ]
-  in
-  (* the fuse-loop row exists to prove the fused tier fires: hard gate *)
-  (match List.rev rows with
-  | last :: _
-    when last.oe_tiers.Tea_core.Tierstat.ts_totals.(Tea_core.Tierstat.t_fused)
-         = 0 ->
-      Printf.eprintf
-        "[bench] ERROR: fuse-loop replay attributed no blocks to the fused \
-         tier\n";
-      exit 1
-  | _ -> ());
-  let sessions = if smoke then 4 else 8 in
-  let scrape =
-    run_observe_scrape ~jobs:2 flat (List.init sessions (fun _ -> stream))
+  gate
+    (List.nth tiers 1 Tea_core.Tierstat.t_ic > 0)
+    "repacked replay never hit the inline cache";
+  gate
+    (List.nth tiers 3 Tea_core.Tierstat.t_fused > 0)
+    "fuse-loop replay attributed no blocks to the fused tier";
+  let sessions = if smoke then 4 else 8 and n_scrapes = 32 in
+  let bytes, best_us, mean_us =
+    observe_scrape ~jobs:2 ~n_scrapes fx.flat
+      (List.init sessions (fun _ -> fx.trace))
   in
   Printf.printf
     "scrape: %d scrapes against %d streaming sessions, %d bytes exposition, \
      best %.0f us, mean %.0f us\n"
-    scrape.os_scrapes scrape.os_sessions scrape.os_bytes scrape.os_best_us
-    scrape.os_mean_us;
-  let json = observe_json ~smoke rows scrape in
-  let oc = open_out "BENCH_observe.json" in
-  output_string oc json;
-  close_out oc;
-  progress "[bench] wrote BENCH_observe.json (%d engines, all gates passed)"
-    (List.length rows)
+    n_scrapes sessions bytes best_us mean_us;
+  write "observe" ~smoke
+    [ ( "gate",
+        Str
+          "tier counters sum to blocks replayed; exposition carries \
+           tier/counter families" );
+      ("engines", Arr rows);
+      ( "scrape",
+        Obj
+          [ ("sessions", Int sessions); ("scrapes", Int n_scrapes);
+            ("exposition_bytes", Int bytes); ("best_us", Num (1, best_us));
+            ("mean_us", Num (1, mean_us)) ] ) ]
 
 (* Same observability surface as tea_tool: --telemetry FILE writes a
    Chrome trace (or JSONL for a .jsonl suffix), --metrics dumps the probe
@@ -2102,15 +1277,14 @@ let () =
   let dispatch () =
     match args with
     | [ "micro" ] -> run_micro ()
-    | [ "packed" ] -> run_packed_compare ()
     | [ "repack" ] -> run_repack ~smoke
     | [ "fuse" ] -> run_fuse ~smoke
     | [ "compile" ] -> run_compile ~smoke
     | [ "scenario" ] -> run_scenario ~smoke
-    | [ "serve" ] -> run_serve ~smoke
     | [ "retune" ] -> run_retune ~smoke
     | [ "observe" ] -> run_observe ~smoke
-    | [ "parallel" ] -> run_parallel_compare ~benchmarks:table_benchmarks
+    | [ "parallel" ] ->
+        run_parallel_compare ~smoke ~benchmarks:table_benchmarks
     | [ "quick" ] -> run_tables ~benchmarks:quick_set ~which:[]
     | [ "ablation" ] -> run_ablations ()
     | [ "extensions" ] -> run_extensions ()
@@ -2127,15 +1301,15 @@ let () =
         run_tables ~benchmarks:table_benchmarks ~which
     | _ ->
         prerr_endline
-          "usage: main.exe [quick | micro | packed | repack | fuse | \
-           compile | scenario | serve | retune | observe | parallel | telemetry | \
-           ablation | extensions | table1 table2 table3 table4] [--smoke] \
-           [--telemetry FILE] [--metrics] [--quiet]";
+          "usage: main.exe [quick | micro | repack | fuse | compile | \
+           scenario | retune | observe | parallel | telemetry | ablation | \
+           extensions | table1 table2 table3 table4] [--smoke] [--telemetry \
+           FILE] [--metrics] [--quiet]";
         exit 2
   in
   match args with
   | [ "telemetry" ] ->
       (* installs/uninstalls the probe set itself — not wrapped in
          [with_obs], which would double-install *)
-      run_telemetry ()
+      run_telemetry ~smoke
   | _ -> with_obs ~trace_out ~metrics root dispatch

@@ -346,6 +346,23 @@ let print_fuse_line packed =
     (Tea_core.Packed.n_cyclic_chains packed)
     (Tea_core.Packed.fused_edges packed)
 
+(* The --pgo/--fuse lines after a replay, printed from the packed image
+   it ran on (a compiled engine's source image); returns that image, or
+   [None] for the reference engine. *)
+let print_tuning_lines ~pgo ~fuse rep =
+  let packed =
+    match Tea_core.Replayer.engine rep with
+    | Tea_core.Replayer.Packed p -> Some p
+    | Tea_core.Replayer.Compiled c -> Some (Tea_core.Compiled.base c)
+    | Tea_core.Replayer.Reference _ -> None
+  in
+  Option.iter
+    (fun p ->
+      if pgo then print_pgo_line p ~cycles:(Tea_core.Replayer.cycles rep);
+      if fuse then print_fuse_line p)
+    packed;
+  packed
+
 (* Every number on the retune line is a pure function of the trace prefix
    the rebuild profiled, so it is jobs-invariant like the pgo line. *)
 let print_retune_line tuned ~mid ~len =
@@ -875,17 +892,7 @@ let replay_cmd =
         (match !swapped with
         | Some (tuned, mid, len) -> print_retune_line tuned ~mid ~len
         | None -> ());
-        (match Tea_core.Replayer.engine rep with
-        | Tea_core.Replayer.Packed p ->
-            if pgo then print_pgo_line p ~cycles:(Tea_core.Replayer.cycles rep);
-            if fuse then print_fuse_line p;
-            Some p
-        | Tea_core.Replayer.Compiled c ->
-            let p = Tea_core.Compiled.base c in
-            if pgo then print_pgo_line p ~cycles:(Tea_core.Replayer.cycles rep);
-            if fuse then print_fuse_line p;
-            Some p
-        | Tea_core.Replayer.Reference _ -> None)
+        print_tuning_lines ~pgo ~fuse rep
     | None ->
         if jobs > 1 then
           or_die (Error "--jobs > 1 applies only to --pc-trace offline replay");
@@ -909,17 +916,7 @@ let replay_cmd =
           st.Tea_core.Transition.steps st.Tea_core.Transition.in_trace_hits
           st.Tea_core.Transition.cache_hits st.Tea_core.Transition.global_hits
           st.Tea_core.Transition.global_misses;
-        (match Tea_core.Replayer.engine rep with
-        | Tea_core.Replayer.Packed p ->
-            if pgo then print_pgo_line p ~cycles:(Tea_core.Replayer.cycles rep);
-            if fuse then print_fuse_line p;
-            Some p
-        | Tea_core.Replayer.Compiled c ->
-            let p = Tea_core.Compiled.base c in
-            if pgo then print_pgo_line p ~cycles:(Tea_core.Replayer.cycles rep);
-            if fuse then print_fuse_line p;
-            Some p
-        | Tea_core.Replayer.Reference _ -> None)
+        print_tuning_lines ~pgo ~fuse rep
   in
   Cmd.v
     (Cmd.info "replay" ~doc:"Replay traces through the TEA under the Pin-like frontend")

@@ -162,8 +162,8 @@ let of_packed packed =
     while !found = -2 do
       incr probes;
       let k = Array.unsafe_get keys !idx in
-      if k = pc then found := Array.unsafe_get vals !idx
-      else if k < 0 then found := -1
+      if k < 0 then found := -1
+      else if k = pc then found := Array.unsafe_get vals !idx
       else idx := (!idx + 1) land mask
     done;
     let cycles = cycles + (!probes * Packed.cost_hash_probe) in
@@ -346,8 +346,8 @@ let of_packed packed =
           let found = ref (-2) in
           while !found = -2 do
             let k = Array.unsafe_get hkeys !idx in
-            if k = pc then found := Array.unsafe_get hvals !idx
-            else if k < 0 then found := -1
+            if k < 0 then found := -1
+            else if k = pc then found := Array.unsafe_get hvals !idx
             else idx := (!idx + 1) land hmask
           done;
           if !found >= 0 then
@@ -364,8 +364,9 @@ let of_packed packed =
   (* Straight-line region compilation. The subgraph of in-trace states
      with fan-out 1 or 2 whose successors are all in-trace — the
      monomorphic and bimodal-branch shapes — is flattened into shared
-     tables (one or two label/target/cost triples per slot; [npc] marks
-     slots outside the region), and every member state's closure is a
+     tables (one or two label/target/cost triples per slot; [npc] fills
+     unused labels and is never itself matched, since any int can be a
+     stream PC), and every member state's closure is a
      region runner: a tight loop that tests the current PC against the
      slot's successor labels with straight-line compares and steps
      through the tables, keeping cursor, slot and cycle sum in
@@ -420,7 +421,9 @@ let of_packed packed =
       while !live && !j < stop do
         let c = !cur in
         let pc = Array.unsafe_get addrs !j in
-        if pc = Array.unsafe_get r_l0 c then begin
+        (* a stream PC equal to the filler label must not match it *)
+        if pc = npc then live := false
+        else if pc = Array.unsafe_get r_l0 c then begin
           (match tly with
           | None -> ()
           | Some a -> Tierstat.bump a ~tier:Tierstat.t_compiled ~state:c);

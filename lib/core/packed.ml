@@ -88,8 +88,9 @@ let cost_hash_base = 2
 
 let cost_hash_probe = 1
 
-(* The inline cache never fires on this label: real PCs are non-negative
-   and -1 is the hash tombstone, so the empty IC slot sits below both. *)
+(* The label of an empty inline-cache cell. A stream PC may take any int
+   value, this one included, so every IC hit test also checks
+   [pc <> ic_empty]: an empty cell never matches. *)
 let ic_empty = min_int
 
 (* Fibonacci multiplicative hashing; the constant is SplitMix64's golden
@@ -380,16 +381,17 @@ let rec scan_prefix labels pc i stop =
   else scan_prefix labels pc (i + 1) stop
 
 (* Open-addressing probe; returns the head state or -1, charging one
-   [cost_hash_probe] per slot examined (terminal slot included). *)
+   [cost_hash_probe] per slot examined (terminal slot included). The
+   empty key (-1) is tested first so a stream PC of -1 misses. *)
 let rec probe t keys vals mask pc i cost =
   let k = Array.unsafe_get keys i in
-  if k = pc then begin
-    t.total_cycles <- t.total_cycles + cost;
-    Array.unsafe_get vals i
-  end
-  else if k < 0 then begin
+  if k < 0 then begin
     t.total_cycles <- t.total_cycles + cost;
     -1
+  end
+  else if k = pc then begin
+    t.total_cycles <- t.total_cycles + cost;
+    Array.unsafe_get vals i
   end
   else probe t keys vals mask pc ((i + 1) land mask) (cost + cost_hash_probe)
 
@@ -477,7 +479,7 @@ let step_hot t state pc =
   st.Transition.steps <- st.Transition.steps + 1;
   let m = Tea_telemetry.Probe.metrics () in
   let a = Tierstat.tally () in
-  if Array.unsafe_get t.ic_label state = pc then begin
+  if Array.unsafe_get t.ic_label state = pc && pc <> ic_empty then begin
     st.Transition.in_trace_hits <- st.Transition.in_trace_hits + 1;
     t.ic_hit_count <- t.ic_hit_count + 1;
     t.total_cycles <- t.total_cycles + Array.unsafe_get t.ic_cost state;

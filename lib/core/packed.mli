@@ -125,6 +125,10 @@ val hash_pc : int -> int -> int
     head insertion, {!step}, {!head_of} and {!Replayer.feed_run}'s fused
     probe loop. *)
 
+val ic_empty : int
+(** The label of an empty inline-cache cell. Any int can be a stream
+    PC, so an IC hit test must also check [pc <> ic_empty]. *)
+
 val build_hash : (int * int) list -> int -> int array * int array
 (** [build_hash heads n_slots] — the open-addressing (keys, vals) pair
     for a [(addr, state)] association list. Repeated addresses are

@@ -375,7 +375,9 @@ let run_packed t packed addrs ins ~off ~len =
          diverged from the chain signature. *)
       let pc = Array.unsafe_get addrs !i in
       let next =
-        if repacked && Array.unsafe_get ic_label prev = pc then begin
+        if repacked && Array.unsafe_get ic_label prev = pc
+           && pc <> Packed.ic_empty
+        then begin
           (* monomorphic inline cache: one compare, one precomputed charge *)
           incr ic_h;
           cycles := !cycles + Array.unsafe_get ic_cost prev;
@@ -464,8 +466,8 @@ let run_packed t packed addrs ins ~off ~len =
             while !found = -2 do
               cycles := !cycles + Packed.cost_hash_probe;
               let k = Array.unsafe_get keys !idx in
-              if k = pc then found := Array.unsafe_get vals !idx
-              else if k < 0 then found := -1
+              if k < 0 then found := -1
+              else if k = pc then found := Array.unsafe_get vals !idx
               else idx := (!idx + 1) land mask
             done;
             (match hprobe with

@@ -179,7 +179,8 @@ let step t state pc =
             probe "transition.cache.probes";
             let c = cache_for t state in
             let i = cache_slot t pc in
-            if c.labels.(i) = pc then Some c.targets.(i) else None
+            (* -1 marks an empty cell; heads are never negative *)
+            if pc >= 0 && c.labels.(i) = pc then Some c.targets.(i) else None
           end
           else None
         in

@@ -10,8 +10,6 @@
    attribution of a compiled replay must stay a total partition of the
    blocks replayed. *)
 
-open Tea_isa
-module I = Insn
 module Block = Tea_cfg.Block
 module Trace = Tea_traces.Trace
 module Automaton = Tea_core.Automaton
@@ -33,76 +31,13 @@ module Shard = Tea_parallel.Shard
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
-let block_at addr = Block.make Block.Branch [ (addr, I.Jmp (I.Abs 0)) ]
+open Support
 
-(* ---------------- Random workload generation ----------------
-
-   Same pool as test_fuse's generator: traces skew toward long
-   single-successor runs so fused chains form, and a fraction of states
-   get two successors so the straight-line region's bimodal arm is
-   exercised; streams mix loop-shaped repetition with random addresses
-   so region runs, span misses, hash hits and NTE cuts all happen. *)
-
-let pool_size = 16
-
-let pool i = 0x1000 + (0x10 * (i mod (pool_size + 4)))
-
-let gen_trace id rand =
-  let open QCheck.Gen in
-  let n = int_range 1 8 rand in
-  let idxs = Array.init n (fun _ -> int_range 0 (pool_size - 1) rand) in
-  let blocks = Array.map (fun i -> block_at (pool i)) idxs in
-  let succs =
-    Array.init n (fun _ ->
-        let k = if int_range 0 2 rand < 2 then 1 else int_range 0 3 rand in
-        let chosen = List.init k (fun _ -> int_range 0 (n - 1) rand) in
-        let seen = Hashtbl.create 4 in
-        List.filter
-          (fun j ->
-            let label = pool idxs.(j) in
-            if Hashtbl.mem seen label then false
-            else begin
-              Hashtbl.add seen label ();
-              true
-            end)
-          chosen)
-  in
-  Trace.make ~id ~kind:"gen" blocks succs
-
-type workload = {
-  w_traces : Trace.t list;
-  w_stream : (int * int) list; (* (address, insns) *)
-}
-
-let gen_workload =
-  let open QCheck.Gen in
-  let gen rand =
-    let n_traces = int_range 1 5 rand in
-    let w_traces = List.init n_traces (fun id -> gen_trace id rand) in
-    let n_steps = int_range 0 120 rand in
-    let raw =
-      List.concat
-        (List.init n_steps (fun _ ->
-             if int_range 0 4 rand = 0 then
-               let a = pool (int_range 0 (pool_size + 3) rand) in
-               let b = pool (int_range 0 (pool_size + 3) rand) in
-               let k = int_range 2 6 rand in
-               List.concat (List.init k (fun _ -> [ a; b ]))
-             else [ pool (int_range 0 (pool_size + 3) rand) ]))
-    in
-    let w_stream = List.map (fun a -> (a, int_range 0 4 rand)) raw in
-    { w_traces; w_stream }
-  in
-  QCheck.make
-    ~print:(fun w ->
-      Printf.sprintf "traces=%d stream=%d" (List.length w.w_traces)
-        (List.length w.w_stream))
-    gen
-
-let arrays_of_stream stream =
-  ( Array.of_list (List.map fst stream),
-    Array.of_list (List.map snd stream),
-    List.length stream )
+(* Random workloads: {!Support.gen_workload}'s chain-skewed shape, so
+   fused chains form, a fraction of states get two successors (the
+   straight-line region's bimodal arm), and region runs, span misses,
+   hash hits and NTE cuts all happen. *)
+let gen_workload = gen_workload Chains
 
 (* The three image variants every property sweeps: flat, profile-guided
    repacked, and repacked+fused (fusion over the stream's own profile
@@ -311,9 +246,9 @@ let test_tier_partition () =
 
 (* ---------------- image statistics on a real capture ---------------- *)
 
-let listscan_fixture () =
+let listscan_fixture ?(strategy = "mret") () =
   let image = Tea_workloads.Micro.list_scan () in
-  let strategy = Option.get (Tea_traces.Registry.by_name "mret") in
+  let strategy = Option.get (Tea_traces.Registry.by_name strategy) in
   let dbt = Tea_dbt.Stardbt.record ~strategy image in
   let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
   let flat = Packed.freeze (Builder.build traces) in
@@ -352,6 +287,58 @@ let test_image_stats () =
   check Alcotest.bool "capture replay identical" true
     (Replayer.snapshot baseline = Replayer.snapshot tuned_rep)
 
+(* ---------------- sentinel-valued stream PCs ---------------- *)
+
+(* Every int is a legal PCTR address, including the values the engines
+   use internally as "empty" markers: the inline cache's empty label
+   (min_int), the trace-head hash's empty key (-1) and the straight-line
+   region's filler label. A captured listscan stream with every 7th PC
+   replaced by one of those values must replay identically on every
+   engine and image: TBB mapping and boundary counters equal to the
+   reference engine, and compiled replay's full profile (simulated
+   cycles included) equal to packed replay's on the same image. *)
+let test_sentinel_pcs () =
+  let flat, starts, insns, len = listscan_fixture ~strategy:"ctt" () in
+  let auto = Option.get (Packed.automaton flat) in
+  let len = min len 400 in
+  let sentinels = [| min_int; max_int; 0; -1 |] in
+  let addrs =
+    Array.init len (fun i ->
+        if i mod 7 = 6 then sentinels.(i / 7 mod 4) else starts.(i))
+  in
+  let repacked = Repack.repack flat (Repack.collect flat addrs ~len) in
+  let fused = Fuse.fuse repacked in
+  let reference =
+    Replayer.create (Transition.create Transition.config_global_local auto)
+  in
+  Replayer.feed_run reference ~insns addrs ~len;
+  List.iter
+    (fun (iname, img) ->
+      let packed = packed_snapshot img ~insns addrs ~len in
+      let compiled = compiled_replayer img ~insns addrs ~len in
+      check Alcotest.bool (iname ^ ": compiled profile == packed") true
+        (Profile.equal (Profile.of_replayer packed)
+           (Profile.of_replayer compiled));
+      List.iter
+        (fun (ename, rep) ->
+          let what k = Printf.sprintf "%s/%s: %s" ename iname k in
+          check
+            Alcotest.(list (pair int int))
+            (what "tbb counts")
+            (Replayer.tbb_counts reference)
+            (Replayer.tbb_counts rep);
+          check Alcotest.int (what "covered")
+            (Replayer.covered_insns reference)
+            (Replayer.covered_insns rep);
+          check Alcotest.int (what "enters")
+            (Replayer.trace_enters reference)
+            (Replayer.trace_enters rep);
+          check Alcotest.int (what "exits")
+            (Replayer.trace_exits reference)
+            (Replayer.trace_exits rep))
+        [ ("packed", packed); ("compiled", compiled) ])
+    [ ("flat", flat); ("repacked", repacked); ("fused", fused) ]
+
 let () =
   Alcotest.run "tea_compile"
     [
@@ -366,5 +353,7 @@ let () =
       ( "attribution",
         [ Alcotest.test_case "tier partition" `Quick test_tier_partition ] );
       ( "image",
-        [ Alcotest.test_case "stats and describe" `Quick test_image_stats ] );
+        [ Alcotest.test_case "stats and describe" `Quick test_image_stats;
+          Alcotest.test_case "sentinel-valued stream PCs" `Quick
+            test_sentinel_pcs ] );
     ]

@@ -6,8 +6,6 @@
    Packed.with_fusion must reject corrupt overlays; and the `info`
    description of the listscan image is frozen as a golden. *)
 
-open Tea_isa
-module I = Insn
 module Block = Tea_cfg.Block
 module Trace = Tea_traces.Trace
 module Automaton = Tea_core.Automaton
@@ -23,78 +21,12 @@ module Probe = Tea_telemetry.Probe
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
-let block_at addr = Block.make Block.Branch [ (addr, I.Jmp (I.Abs 0)) ]
+open Support
 
-(* ---------------- Random workload generation ----------------
-
-   Same pool as test_repack's generator, but traces skew toward long
-   single-successor runs (each state gets 1 successor with probability
-   ~2/3, else 0..3) so chains and cycles actually form, and streams mix
-   loop-shaped repetition with random addresses so both the chain match
-   and the mismatch fallback paths are exercised. *)
-
-let pool_size = 16
-
-let pool i = 0x1000 + (0x10 * (i mod (pool_size + 4)))
-
-let gen_trace id rand =
-  let open QCheck.Gen in
-  let n = int_range 1 8 rand in
-  let idxs = Array.init n (fun _ -> int_range 0 (pool_size - 1) rand) in
-  let blocks = Array.map (fun i -> block_at (pool i)) idxs in
-  let succs =
-    Array.init n (fun _ ->
-        let k = if int_range 0 2 rand < 2 then 1 else int_range 0 3 rand in
-        let chosen = List.init k (fun _ -> int_range 0 (n - 1) rand) in
-        let seen = Hashtbl.create 4 in
-        List.filter
-          (fun j ->
-            let label = pool idxs.(j) in
-            if Hashtbl.mem seen label then false
-            else begin
-              Hashtbl.add seen label ();
-              true
-            end)
-          chosen)
-  in
-  Trace.make ~id ~kind:"gen" blocks succs
-
-type workload = {
-  w_traces : Trace.t list;
-  w_stream : (int * int) list; (* (address, insns) *)
-}
-
-let gen_workload =
-  let open QCheck.Gen in
-  let gen rand =
-    let n_traces = int_range 1 5 rand in
-    let w_traces = List.init n_traces (fun id -> gen_trace id rand) in
-    let n_steps = int_range 0 120 rand in
-    let raw =
-      List.concat
-        (List.init n_steps (fun _ ->
-             (* occasionally emit a short repeated run to seed loop-shaped
-                input the cyclic fast-forward can bite on *)
-             if int_range 0 4 rand = 0 then
-               let a = pool (int_range 0 (pool_size + 3) rand) in
-               let b = pool (int_range 0 (pool_size + 3) rand) in
-               let k = int_range 2 6 rand in
-               List.concat (List.init k (fun _ -> [ a; b ]))
-             else [ pool (int_range 0 (pool_size + 3) rand) ]))
-    in
-    let w_stream = List.map (fun a -> (a, int_range 0 4 rand)) raw in
-    { w_traces; w_stream }
-  in
-  QCheck.make
-    ~print:(fun w ->
-      Printf.sprintf "traces=%d stream=%d" (List.length w.w_traces)
-        (List.length w.w_stream))
-    gen
-
-let arrays_of_stream stream =
-  ( Array.of_list (List.map fst stream),
-    Array.of_list (List.map snd stream),
-    List.length stream )
+(* Random workloads: {!Support.gen_workload}'s chain-skewed shape, so
+   chains and cycles actually form and both the chain match and the
+   mismatch fallback paths are exercised. *)
+let gen_workload = gen_workload Chains
 
 (* Batched replay through feed_run — the entry point that dispatches to
    the fused loop when the image carries an overlay — optionally split
@@ -185,15 +117,6 @@ let prop_teapk3_roundtrip =
    stitching needs no new rule — only the chunk-local ic split (and the
    fused_steps probe, which depends on where seams fall) may differ. *)
 
-let variable_counter = function
-  | "packed.ic_hit" | "packed.ic_miss" | "packed.fused_steps" -> true
-  | _ -> false
-
-let snapshots_equal_mod_ic s1 s4 =
-  List.filter (fun (n, _) -> not (variable_counter n)) s1.Metrics.s_counters
-  = List.filter (fun (n, _) -> not (variable_counter n)) s4.Metrics.s_counters
-  && s1.Metrics.s_histograms = s4.Metrics.s_histograms
-
 let prop_sharded_fused_replay =
   QCheck.Test.make ~name:"fused replay: jobs 2/4 merge to jobs 1" ~count:15
     gen_workload (fun w ->
@@ -212,7 +135,7 @@ let prop_sharded_fused_replay =
               let pn, sn =
                 Support.sharded_snapshot fused ~insns addrs ~len jobs
               in
-              Tea_parallel.Profile.equal p1 pn && snapshots_equal_mod_ic s1 sn)
+              Tea_parallel.Profile.equal p1 pn && snapshots_equal_mod_fused s1 sn)
             [ 2; 4 ]
           && Tea_parallel.Profile.equal p1 pseq)
         [ flat; tuned ])

@@ -4,8 +4,6 @@
    and profiles bit-for-bit on arbitrary automata and address streams —
    that equivalence is what makes the fast path trustworthy. *)
 
-open Tea_isa
-module I = Insn
 module Block = Tea_cfg.Block
 module Trace = Tea_traces.Trace
 module Automaton = Tea_core.Automaton
@@ -19,7 +17,7 @@ module Pc_trace = Tea_core.Pc_trace
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
-let block_at addr = Block.make Block.Branch [ (addr, I.Jmp (I.Abs 0)) ]
+open Support
 
 (* Fixtures shared with test_core: T1 cycles 0x100->0x200->0x300->0x100,
    T2 chains 0x400->0x300 (0x300 duplicated across traces). *)
@@ -29,64 +27,8 @@ let t1 =
 
 let t2 = Trace.linear ~id:1 ~kind:"test" [ block_at 0x400; block_at 0x300 ]
 
-(* ---------------- Random workload generation ---------------- *)
-
-(* A pool of block addresses; streams also draw from the tail addresses no
-   trace ever contains, to exercise the NTE miss path. *)
-let pool_size = 16
-
-let pool i = 0x1000 + (0x10 * (i mod (pool_size + 4)))
-
-(* A generated trace: up to 6 TBBs over the pool, each state with up to 3
-   in-trace successors (deduplicated by label so the automaton stays
-   deterministic). Multi-successor states give the packed engine spans
-   longer than one entry — the binary search actually searches. *)
-let gen_trace id rand =
-  let open QCheck.Gen in
-  let n = int_range 1 6 rand in
-  let idxs = Array.init n (fun _ -> int_range 0 (pool_size - 1) rand) in
-  let blocks = Array.map (fun i -> block_at (pool i)) idxs in
-  let succs =
-    Array.init n (fun _ ->
-        let k = int_range 0 3 rand in
-        let chosen = List.init k (fun _ -> int_range 0 (n - 1) rand) in
-        (* one successor per distinct label (= target block start) *)
-        let seen = Hashtbl.create 4 in
-        List.filter
-          (fun j ->
-            let label = pool idxs.(j) in
-            if Hashtbl.mem seen label then false
-            else begin
-              Hashtbl.add seen label ();
-              true
-            end)
-          chosen)
-  in
-  Trace.make ~id ~kind:"gen" blocks succs
-
-type workload = {
-  w_traces : Trace.t list;
-  w_stream : (int * int) list; (* (address, insns) *)
-  w_config : int;
-}
-
-let gen_workload =
-  let open QCheck.Gen in
-  let gen rand =
-    let n_traces = int_range 1 5 rand in
-    let w_traces = List.init n_traces (fun id -> gen_trace id rand) in
-    let n_steps = int_range 0 200 rand in
-    let w_stream =
-      List.init n_steps (fun _ ->
-          (pool (int_range 0 (pool_size + 3) rand), int_range 0 4 rand))
-    in
-    { w_traces; w_stream; w_config = int_range 0 2 rand }
-  in
-  QCheck.make
-    ~print:(fun w ->
-      Printf.sprintf "traces=%d stream=%d config=%d"
-        (List.length w.w_traces) (List.length w.w_stream) w.w_config)
-    gen
+(* Random workloads: {!Support.gen_workload}'s uniform shape. *)
+let gen_workload = gen_workload Uniform
 
 let config_of = function
   | 0 -> Transition.config_global_local

@@ -5,8 +5,6 @@
    counts, coverage, enter/exit counters, stats and simulated cycles) for
    any workload and any domain count. *)
 
-open Tea_isa
-module I = Insn
 module Block = Tea_cfg.Block
 module Trace = Tea_traces.Trace
 module Automaton = Tea_core.Automaton
@@ -21,7 +19,7 @@ module Shard = Tea_parallel.Shard
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
-let block_at addr = Block.make Block.Branch [ (addr, I.Jmp (I.Abs 0)) ]
+open Support
 
 (* Fixtures shared with test_core/test_packed: T1 cycles
    0x100->0x200->0x300->0x100, T2 chains 0x400->0x300. *)
@@ -207,53 +205,9 @@ let test_profile_split_merge () =
         (Profile.merge (Profile.of_replayer rep_a) (Profile.of_replayer rep_b)))
     [ 0; 1; 13; 25; 49; 50 ]
 
-(* ---------------- Random workloads (same shape as test_packed) -------- *)
+(* ---------------- Random workloads ---------------- *)
 
-let pool_size = 16
-
-let pool_addr i = 0x1000 + (0x10 * (i mod (pool_size + 4)))
-
-let gen_trace id rand =
-  let open QCheck.Gen in
-  let n = int_range 1 6 rand in
-  let idxs = Array.init n (fun _ -> int_range 0 (pool_size - 1) rand) in
-  let blocks = Array.map (fun i -> block_at (pool_addr i)) idxs in
-  let succs =
-    Array.init n (fun _ ->
-        let k = int_range 0 3 rand in
-        let chosen = List.init k (fun _ -> int_range 0 (n - 1) rand) in
-        let seen = Hashtbl.create 4 in
-        List.filter
-          (fun j ->
-            let label = pool_addr idxs.(j) in
-            if Hashtbl.mem seen label then false
-            else begin
-              Hashtbl.add seen label ();
-              true
-            end)
-          chosen)
-  in
-  Trace.make ~id ~kind:"gen" blocks succs
-
-type workload = { w_traces : Trace.t list; w_stream : (int * int) list }
-
-let gen_workload =
-  let open QCheck.Gen in
-  let gen rand =
-    let n_traces = int_range 1 5 rand in
-    let w_traces = List.init n_traces (fun id -> gen_trace id rand) in
-    let n_steps = int_range 0 400 rand in
-    let w_stream =
-      List.init n_steps (fun _ ->
-          (pool_addr (int_range 0 (pool_size + 3) rand), int_range 0 4 rand))
-    in
-    { w_traces; w_stream }
-  in
-  QCheck.make
-    ~print:(fun w ->
-      Printf.sprintf "traces=%d stream=%d"
-        (List.length w.w_traces) (List.length w.w_stream))
-    gen
+let gen_workload = gen_workload ~steps:400 Uniform
 
 let sequential_profile packed ~starts ~insns ~len =
   let rep = Replayer.create_packed (Packed.dup packed) in

@@ -7,8 +7,6 @@
    repacked image must merge to the sequential profile counter for
    counter. *)
 
-open Tea_isa
-module I = Insn
 module Block = Tea_cfg.Block
 module Trace = Tea_traces.Trace
 module Automaton = Tea_core.Automaton
@@ -23,68 +21,12 @@ module Probe = Tea_telemetry.Probe
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
-let block_at addr = Block.make Block.Branch [ (addr, I.Jmp (I.Abs 0)) ]
+open Support
 
-(* ---------------- Random workload generation ----------------
-
-   Same shape as test_packed's generator: a pool of block addresses,
-   traces whose states have up to 3 in-trace successors (so spans are
-   long enough for prefix-vs-tail layout decisions to matter), and
-   streams that also draw from addresses no trace contains. *)
-
-let pool_size = 16
-
-let pool i = 0x1000 + (0x10 * (i mod (pool_size + 4)))
-
-let gen_trace id rand =
-  let open QCheck.Gen in
-  let n = int_range 1 6 rand in
-  let idxs = Array.init n (fun _ -> int_range 0 (pool_size - 1) rand) in
-  let blocks = Array.map (fun i -> block_at (pool i)) idxs in
-  let succs =
-    Array.init n (fun _ ->
-        let k = int_range 0 3 rand in
-        let chosen = List.init k (fun _ -> int_range 0 (n - 1) rand) in
-        let seen = Hashtbl.create 4 in
-        List.filter
-          (fun j ->
-            let label = pool idxs.(j) in
-            if Hashtbl.mem seen label then false
-            else begin
-              Hashtbl.add seen label ();
-              true
-            end)
-          chosen)
-  in
-  Trace.make ~id ~kind:"gen" blocks succs
-
-type workload = {
-  w_traces : Trace.t list;
-  w_stream : (int * int) list; (* (address, insns) *)
-}
-
-let gen_workload =
-  let open QCheck.Gen in
-  let gen rand =
-    let n_traces = int_range 1 5 rand in
-    let w_traces = List.init n_traces (fun id -> gen_trace id rand) in
-    let n_steps = int_range 0 200 rand in
-    let w_stream =
-      List.init n_steps (fun _ ->
-          (pool (int_range 0 (pool_size + 3) rand), int_range 0 4 rand))
-    in
-    { w_traces; w_stream }
-  in
-  QCheck.make
-    ~print:(fun w ->
-      Printf.sprintf "traces=%d stream=%d" (List.length w.w_traces)
-        (List.length w.w_stream))
-    gen
-
-let arrays_of_stream stream =
-  ( Array.of_list (List.map fst stream),
-    Array.of_list (List.map snd stream),
-    List.length stream )
+(* Random workloads: {!Support.gen_workload}'s uniform shape, whose
+   states have up to 3 in-trace successors so spans are long enough for
+   prefix-vs-tail layout decisions to matter. *)
+let gen_workload = gen_workload Uniform
 
 (* Replay observables, with engine-space state ids translated back to
    original automaton ids so flat and repacked runs are comparable. *)
@@ -241,21 +183,6 @@ let prop_teapk2_roundtrip =
    ic_hit/ic_miss split: each shard worker steps a dup sibling whose
    inline cache starts cold, so the split is chunk-local — but every step
    is exactly one of the two, so the sum is invariant. *)
-
-let ic_counter = function
-  | "packed.ic_hit" | "packed.ic_miss" -> true
-  | _ -> false
-
-let counter snap name =
-  Option.value ~default:0 (Metrics.find_counter snap name)
-
-let ic_sum snap = counter snap "packed.ic_hit" + counter snap "packed.ic_miss"
-
-let snapshots_equal_mod_ic s1 s4 =
-  List.filter (fun (n, _) -> not (ic_counter n)) s1.Metrics.s_counters
-  = List.filter (fun (n, _) -> not (ic_counter n)) s4.Metrics.s_counters
-  && s1.Metrics.s_histograms = s4.Metrics.s_histograms
-  && ic_sum s1 = ic_sum s4
 
 let prop_sharded_repacked_replay =
   QCheck.Test.make ~name:"repacked replay: jobs 4 merges to jobs 1"
