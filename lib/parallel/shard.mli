@@ -36,15 +36,29 @@
     documented for chunk-local ICs (property-tested for 1/2/4 domains in
     [test_fuse.ml]).
 
-    {b Engine choice.} Workers and the stitching driver build their
-    replayers through the [make] factory (default: a packed-engine
-    replayer over a {!Tea_core.Packed.dup} sibling). Passing a factory
-    that compiles its dup ({!Tea_core.Replayer.create_compiled} over
+    {b Engine choice and replayer reuse.} Workers and the stitching
+    driver replay through replayers built by the [make] factory
+    (default: a packed-engine replayer over a {!Tea_core.Packed.dup}
+    sibling). Passing a factory that compiles its dup
+    ({!Tea_core.Replayer.create_compiled} over
     {!Tea_core.Compiled.of_packed}) runs every shard through
     closure-threaded dispatch; sync-point detection stays on the shared
     packed image, and since compiled dispatch is batch-bounded exactly
     like the interpreted loops, the merged profile remains bit-identical
-    at any job count (property-tested in [test_compile.ml]). *)
+    at any job count (property-tested in [test_compile.ml]).
+
+    [make] runs at most once per chunk slot ([<= Pool.jobs]) per image
+    per call, on first use of the slot: chunk [i] of every span replayed
+    in one call ({!replay_runs}: every run of one asid) goes to slot [i],
+    which is re-entered with {!Tea_core.Replayer.set_state} (no
+    accounting) and snapshotted once at the end. Slot 0 is also the
+    driver: after chunk 0 it already holds the state the stitch carries
+    into chunk 1. The factory must therefore still dup (never share
+    mutable counters between slots) and must keep no per-run state
+    outside the replayer it returns. Reuse is exact because a snapshot is
+    an additive sum that leaves out the inline-cache hit/miss split (a
+    reused replayer's inline cache is warm from earlier runs), and
+    simulated cycles are a pure function of the stream. *)
 
 val replay_span :
   Pool.t ->
@@ -65,9 +79,10 @@ val replay_span :
     state through [orig_of] and pass it as the next span's [entry]),
     replay the rest, and the merged profiles equal the sequential
     swapped run bit-for-bit — chunk seams and span seams commute with
-    the same sync-point argument. [entry] only affects chunk 0 (and the
-    stitching driver's start); every other chunk enters at its own sync
-    point exactly as before.
+    the same sync-point argument. [entry] only affects chunk 0, whose
+    slot then stitches; every other chunk enters at its own sync point.
+    Each call builds its own replayers (one per chunk, at most
+    [Pool.jobs]), so consecutive spans never share one.
     @raise Invalid_argument when [off..off+len) exceeds either array. *)
 
 val replay_arrays :
@@ -111,9 +126,10 @@ val replay_pc_trace :
     event stream is split into per-asid runs, cut at every
     invalidation/interrupt (each run re-enters at NTE, matching the
     demuxed {!Tea_core.Multi_replayer} cut, which does no accounting),
-    and each run is sharded independently. Seams never straddle an asid
-    or a cut by construction; per-run profiles merge additively into
-    exactly the per-asid sequential snapshot, at any job count. *)
+    and each run is sharded independently through one set of replayers
+    per asid (see {e replayer reuse} above). Seams never straddle an asid
+    or a cut by construction; the replayers' totals sum to exactly the
+    per-asid sequential snapshot, at any job count. *)
 
 type run = Tea_core.Pc_trace.run = {
   starts : int array;
@@ -125,16 +141,30 @@ val load_events : string -> (int * run list) list
 (** {!Tea_core.Pc_trace.runs_of_string} of a file. Its absent no-block
     asids match the lazy-entry rule of {!Tea_core.Multi_replayer}. *)
 
+val replay_runs :
+  Pool.t ->
+  Tea_core.Packed.t ->
+  ?make:(Tea_core.Packed.t -> Tea_core.Replayer.t) ->
+  run list ->
+  Profile.t
+(** [replay_runs pool packed runs] — shard every run from NTE over
+    [packed] and return their summed profile, as {!replay_arrays} per run
+    then {!Profile.merge_all} would, but through one set of replayers:
+    [make] runs at most [Pool.jobs pool] times in all, however many runs
+    there are. The sequential counterpart is one
+    {!Tea_core.Multi_replayer} entry, which likewise keeps its replayer
+    across cuts. *)
+
 val replay_events :
   Pool.t ->
   (int -> Tea_core.Packed.t) ->
   ?make:(Tea_core.Packed.t -> Tea_core.Replayer.t) ->
   string ->
   (int * Profile.t) list
-(** [replay_events pool packed_for path] — demux, then shard each asid's
-    runs over [packed_for asid] (workers dup the image internally via
-    [make]; a shared image per asid is fine) and merge per asid. The
-    result equals
+(** [replay_events pool packed_for path] — {!load_events}, then
+    {!replay_runs} over [packed_for asid] for each asid (the replayers
+    dup the image via [make]; a shared image per asid is fine). [make]
+    runs at most [Pool.jobs pool] times per asid. The result equals
     {!Tea_core.Multi_replayer.snapshots} of a sequential demuxed replay
     over the same images, at any [--jobs] — the interleaved-replay hard
     gate. *)

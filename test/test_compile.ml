@@ -164,9 +164,12 @@ let with_tmp f =
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
 (* Two asids with independent automata, interleaved with invalidations
-   (SMC) in one PCTR3 stream: demuxed replay through per-asid compiled
-   engines must produce exactly the per-asid packed snapshots, and
-   demux-first sharding with compiled workers must merge to them. *)
+   (SMC) in one PCTR3 stream, then cut into runs of 1 and 2 blocks —
+   fewer blocks than jobs 2/4 have chunk slots, so reused replayers meet
+   runs that leave some slots idle: demuxed replay through per-asid
+   compiled engines must produce exactly the per-asid packed snapshots,
+   and demux-first sharding with compiled workers must merge to them at
+   jobs 1/2/4 while building at most [jobs] replayers per asid. *)
 let prop_multi_asid_compiled =
   QCheck.Test.make ~name:"multi-asid demux: compiled == packed" ~count:25
     (QCheck.pair gen_workload gen_workload)
@@ -187,7 +190,12 @@ let prop_multi_asid_compiled =
         Scenario.interleave ~quantum:3 [ stream_of 0 w0; stream_of 1 w1 ] emit;
         (* then a second, self-modifying pass of asid 0's stream *)
         emit (Tea_core.Pc_trace.Switch { asid = 0 });
-        Scenario.smc ~period:17 (stream_of 0 w0) emit
+        Scenario.smc ~period:17 (stream_of 0 w0) emit;
+        (* then runs of 1 block (asid 1) and of 2 blocks (asid 0) *)
+        emit (Tea_core.Pc_trace.Switch { asid = 1 });
+        Scenario.smc ~period:1 (stream_of 1 w1) emit;
+        emit (Tea_core.Pc_trace.Switch { asid = 0 });
+        Scenario.interrupt ~every:2 (stream_of 0 w0) emit
       in
       with_tmp (fun path ->
           let _ = Scenario.write_file path scn in
@@ -200,14 +208,22 @@ let prop_multi_asid_compiled =
           in
           let want = seq (fun img -> Replayer.create_packed (Packed.dup img)) in
           let got = seq compiled_make in
-          let sharded =
-            Pool.with_pool ~jobs:2 (fun pool ->
-                Shard.replay_events pool packed_for ~make:compiled_make path)
+          let sharded jobs =
+            let made = Array.init 2 (fun _ -> Atomic.make 0) in
+            let make img =
+              Atomic.incr made.(if img == imgs.(0) then 0 else 1);
+              compiled_make img
+            in
+            let profiles =
+              Pool.with_pool ~jobs (fun pool ->
+                  Shard.replay_events pool packed_for ~make path)
+            in
+            Array.for_all (fun n -> Atomic.get n <= jobs) made
+            && List.for_all2
+                 (fun (a1, s1) (a2, p2) -> a1 = a2 && Profile.equal s1 p2)
+                 want profiles
           in
-          want = got
-          && List.for_all2
-               (fun (a1, s1) (a2, p2) -> a1 = a2 && Profile.equal s1 p2)
-               want sharded))
+          want = got && List.for_all sharded [ 1; 2; 4 ]))
 
 (* ---------------- dispatch-tier partition ---------------- *)
 
